@@ -18,9 +18,6 @@ from .core import (
 from .shift_table import ShiftTable, build_shift_table
 from .matchers import (
     SearchStats,
-    classic_horspool,
-    classic_horspool_trace,
-    horspool_alignment_trace,
     search_horspool,
     search_horspool_instrumented,
     search_naive,
@@ -55,11 +52,8 @@ __all__ = [
     "UnknownSymbol",
     "build_registry",
     "build_shift_table",
-    "classic_horspool",
-    "classic_horspool_trace",
     "generate_instance",
     "generate_instance_with_start",
-    "horspool_alignment_trace",
     "make_text",
     "occurs_at",
     "parse_pattern_string",

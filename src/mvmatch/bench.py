@@ -2,9 +2,9 @@
 
 For each pattern length m, both algorithms run on the same generated
 instances; instance seeds derive deterministically from (seed, m, index).
-Wall time is measured per (m, algorithm) batch and, by default, includes
-the pattern pre-processing, so the comparison is end to end.  Symbol-read
-and alignment counts come from the instrumented searchers and are the
+Wall time is measured per (m, algorithm) batch and includes the pattern
+pre-processing, so the comparison is end to end.  Symbol-read and
+alignment counts come from the instrumented kernels and are the
 hardware-independent measure; they are reproducible across runs, wall time
 naturally is not.
 """
@@ -24,7 +24,6 @@ from .matchers import (
     search_naive,
     search_naive_instrumented,
 )
-from .shift_table import build_shift_table
 from .synth import GenConfig, InvalidConfig, generate_instance
 
 ALGORITHMS = ("horspool", "naive")
@@ -42,7 +41,6 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
     measure: tuple[str, ...] = MEASURES
     pattern_mode: str = "uniform"
-    include_preprocessing: bool = True
 
     def validate(self) -> None:
         if not self.m_values:
@@ -90,6 +88,7 @@ class BenchRow:
     instances: int = 0
 
 
+_FAST = {"horspool": search_horspool, "naive": search_naive}
 _INSTRUMENTED = {
     "naive": search_naive_instrumented,
     "horspool": search_horspool_instrumented,
@@ -111,19 +110,10 @@ def run_benchmark(config: BenchConfig) -> list[BenchRow]:
                 row = per_alg[alg]
                 row.instances += 1
                 if time_it:
-                    if alg == "horspool":
-                        table = (
-                            None
-                            if config.include_preprocessing
-                            else build_shift_table(pattern)
-                        )
-                        t0 = time.perf_counter()
-                        matches = search_horspool(text, pattern, table)
-                        row.total_time += time.perf_counter() - t0
-                    else:
-                        t0 = time.perf_counter()
-                        matches = search_naive(text, pattern)
-                        row.total_time += time.perf_counter() - t0
+                    search = _FAST[alg]
+                    t0 = time.perf_counter()
+                    matches = search(text, pattern)
+                    row.total_time += time.perf_counter() - t0
                     row.total_matches += len(matches)
                 if count_it:
                     matches, stats = _INSTRUMENTED[alg](text, pattern)

@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="find all pattern occurrences in a text file")
     p.add_argument("--text", required=True, help="multi-track text file")
     p.add_argument("--pattern", required=True, help="whitespace-separated pattern tokens")
-    p.add_argument("--algorithm", choices=["horspool", "naive"], default="horspool")
+    p.add_argument("--algorithm", choices=list(ALGORITHMS), default="horspool")
     p.add_argument("--base", type=int, choices=[0, 1], default=0,
                    help="display base for printed positions")
     p.add_argument("--count", action="store_true", help="print only the match count")
@@ -142,13 +142,13 @@ def cmd_bench(args) -> int:
     for m in sorted(by_m):
         group = by_m[m]
         if "naive" in group and "horspool" in group:
+            if m > args.n:
+                print(f"m={m}: no windows (m > n)")
+                continue
             nv, hs = group["naive"], group["horspool"]
             time_ratio = nv.total_time / hs.total_time if hs.total_time else float("nan")
-            read_ratio = (
-                nv.total_symbol_reads / hs.total_symbol_reads
-                if hs.total_symbol_reads
-                else float("nan")
-            )
+            # m <= n: every instance has at least one alignment of k >= 1 reads
+            read_ratio = nv.total_symbol_reads / hs.total_symbol_reads
             line = f"m={m}: read ratio naive/horspool = {read_ratio:.3f}"
             if not args.counts_only:
                 line += f", time ratio = {time_ratio:.3f}"

@@ -1,10 +1,11 @@
 """Multi-track text file format and pattern strings.
 
-The text format is CoNLL-flavoured: UTF-8, one record per line, fields
-tab-separated, first line a header of view names.  Column v of the body
-holds view v's token at each position; column vocabularies must be
-pairwise disjoint.  Tokens may not contain tabs or newlines and there is
-no quoting.  Patterns are plain whitespace-separated token strings.
+The text format is CoNLL-flavoured: UTF-8 (a leading byte-order mark is
+ignored), one record per LF- or CRLF-terminated line, fields
+tab-separated, first line a header of distinct view names.  Column v of
+the body holds view v's token at each position; column vocabularies must
+be pairwise disjoint.  Tokens may not contain tabs or newlines and there
+is no quoting.  Patterns are plain whitespace-separated token strings.
 """
 
 from __future__ import annotations
@@ -30,16 +31,22 @@ def parse_text_file(data: bytes) -> tuple[AlphabetRegistry, MultiViewText]:
     """Parse a multi-track file; the registry is built from the observed
     column vocabularies, in order of first appearance."""
     try:
-        content = data.decode("utf-8")
+        content = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(0, f"not valid UTF-8: {exc}") from None
 
-    lines = content.splitlines()
+    # Only "\n" ends a line: str.splitlines would also split tokens holding
+    # U+2028, U+0085, "\x0c" and other separators.
+    lines = content.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline
     if not lines:
         raise FormatError(0, "empty file: missing header line")
     header = lines[0].split("\t")
     if any(not name for name in header):
         raise FormatError(1, "empty view name in header")
+    if len(set(header)) != len(header):
+        raise FormatError(1, "duplicate view name in header")
     k = len(header)
 
     records: list[list[str]] = []

@@ -1,10 +1,11 @@
-"""Search algorithms: multi-view Horspool, the naive baseline, a classic
-single-view Horspool reference, and instrumented variants.
+"""Search algorithms: multi-view Horspool and the naive baseline, each as a
+fast kernel and an instrumented kernel.
 
 All searchers return every overlapping occurrence as a sorted list of
-0-based window positions.  The instrumented variants additionally count
-alignments tried and text-symbol reads, which serve as machine-independent
-work measures for benchmarking.
+0-based window positions.  The instrumented kernels additionally return
+SearchStats: the window positions tried (the alignment trace) and the
+text-symbol reads, which serve as machine-independent work measures for
+benchmarking.
 
 Counting convention: at each Horspool alignment the k reads used for the
 shift (one per view, all at the window's last position) count as k reads;
@@ -26,9 +27,13 @@ from .shift_table import ShiftTable, build_shift_table
 class SearchStats:
     """Work counters for one search invocation."""
 
-    alignments: int = 0
+    trace: Sequence[int] = ()  # window positions tried, in order
     symbol_reads: int = 0
     matches_found: int = 0
+
+    @property
+    def alignments(self) -> int:
+        return len(self.trace)
 
 
 def _pattern_rows(text: MultiViewText, pattern: Pattern):
@@ -41,12 +46,10 @@ def _pattern_rows(text: MultiViewText, pattern: Pattern):
 def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
     """Try every window, comparing offsets left to right until mismatch."""
     check_same_registry(text, pattern)
-    n, m = text.n, pattern.m
     matches: list[int] = []
-    if m > n:
-        return matches
     rows = _pattern_rows(text, pattern)
-    for i in range(n - m + 1):
+    # empty when m > n
+    for i in range(text.n - pattern.m + 1):
         for q, (row, sym) in enumerate(rows):
             if row[i + q] != sym:
                 break
@@ -59,15 +62,11 @@ def search_naive_instrumented(
     text: MultiViewText, pattern: Pattern
 ) -> tuple[list[int], SearchStats]:
     check_same_registry(text, pattern)
-    n, m = text.n, pattern.m
     matches: list[int] = []
-    stats = SearchStats()
-    if m > n:
-        return matches, stats
+    stats = SearchStats(range(text.n - pattern.m + 1))
     rows = _pattern_rows(text, pattern)
     reads = 0
-    for i in range(n - m + 1):
-        stats.alignments += 1
+    for i in stats.trace:
         for q, (row, sym) in enumerate(rows):
             reads += 1
             if row[i + q] != sym:
@@ -87,13 +86,11 @@ def search_horspool(
     views' symbols at the window's last position.
 
     A prebuilt shift table may be passed to reuse pre-processing across
-    texts (the benchmark uses this to exclude pre-processing from timings).
+    texts.
     """
     check_same_registry(text, pattern)
     n, m = text.n, pattern.m
     matches: list[int] = []
-    if m > n:
-        return matches
     if table is None:
         table = build_shift_table(pattern)
     shift_of = table.shifts.get
@@ -102,7 +99,7 @@ def search_horspool(
     last_row, last_sym = rows[-1]
     prefix = rows[:-1]
     views = text.views
-    limit = n - m
+    limit = n - m  # negative when m > n: no window
     j = 0
     while j <= limit:
         e = j + m - 1
@@ -119,12 +116,12 @@ def search_horspool(
 def search_horspool_instrumented(
     text: MultiViewText, pattern: Pattern
 ) -> tuple[list[int], SearchStats]:
+    """search_horspool that also records the alignment trace and the reads."""
     check_same_registry(text, pattern)
     n, m = text.n, pattern.m
     matches: list[int] = []
-    stats = SearchStats()
-    if m > n:
-        return matches, stats
+    trace: list[int] = []
+    stats = SearchStats(trace)
     table = build_shift_table(pattern)
     shift_of = table.shifts.get
     default = table.default_shift
@@ -132,13 +129,12 @@ def search_horspool_instrumented(
     last_row, last_sym = rows[-1]
     prefix = rows[:-1]
     views = text.views
-    k = len(views)
+    visit = trace.append
     limit = n - m
     reads = 0
     j = 0
     while j <= limit:
-        stats.alignments += 1
-        reads += k  # the k shift reads; the last-symbol view's read is shared
+        visit(j)
         e = j + m - 1
         if last_row[e] == last_sym:
             for q, (row, sym) in enumerate(prefix):
@@ -148,65 +144,7 @@ def search_horspool_instrumented(
             else:
                 matches.append(j)
         j += min(shift_of(row[e], default) for row in views)
-    stats.symbol_reads = reads
+    # the k shift reads per alignment; the last-symbol view's read is shared
+    stats.symbol_reads = reads + len(views) * len(trace)
     stats.matches_found = len(matches)
     return matches, stats
-
-
-def horspool_alignment_trace(text: MultiViewText, pattern: Pattern) -> list[int]:
-    """The exact sequence of window positions the Horspool loop visits."""
-    check_same_registry(text, pattern)
-    n, m = text.n, pattern.m
-    trace: list[int] = []
-    if m > n:
-        return trace
-    table = build_shift_table(pattern)
-    shift_of = table.shifts.get
-    default = table.default_shift
-    views = text.views
-    limit = n - m
-    j = 0
-    while j <= limit:
-        trace.append(j)
-        e = j + m - 1
-        j += min(shift_of(row[e], default) for row in views)
-    return trace
-
-
-def classic_horspool(text: Sequence, pattern: Sequence) -> list[int]:
-    """Textbook single-view Horspool on plain sequences.
-
-    Independent of the multi-view machinery; used as the reference for the
-    k=1 degeneracy checks.
-    """
-    matches, _ = _classic_horspool(text, pattern)
-    return matches
-
-
-def classic_horspool_trace(text: Sequence, pattern: Sequence) -> list[int]:
-    _, trace = _classic_horspool(text, pattern)
-    return trace
-
-
-def _classic_horspool(text: Sequence, pattern: Sequence):
-    n, m = len(text), len(pattern)
-    matches: list[int] = []
-    trace: list[int] = []
-    if m == 0 or m > n:
-        return matches, trace
-    skip = {}
-    for q in range(m - 1):
-        skip[pattern[q]] = m - 1 - q
-    last = pattern[m - 1]
-    j = 0
-    while j <= n - m:
-        trace.append(j)
-        c = text[j + m - 1]
-        if c == last:
-            q = 0
-            while q < m - 1 and text[j + q] == pattern[q]:
-                q += 1
-            if q == m - 1:
-                matches.append(j)
-        j += skip.get(c, m)
-    return matches, trace

@@ -8,6 +8,7 @@ checks.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from mvmatch import MultiViewText, Pattern, build_registry, make_text, resolve_pattern
 
@@ -77,3 +78,42 @@ def shift_oracle(pattern: Pattern, symbol: int) -> int:
         if pattern.symbols[q] == symbol:
             candidates.add(m - 1 - q)
     return min(candidates)
+
+
+def classic_horspool(text: Sequence, pattern: Sequence) -> list[int]:
+    """Textbook single-view Horspool on plain sequences.
+
+    Independent of the multi-view machinery; used as the reference for the
+    k=1 degeneracy checks.
+    """
+    matches, _ = _classic_horspool(text, pattern)
+    return matches
+
+
+def classic_horspool_trace(text: Sequence, pattern: Sequence) -> list[int]:
+    _, trace = _classic_horspool(text, pattern)
+    return trace
+
+
+def _classic_horspool(text: Sequence, pattern: Sequence):
+    n, m = len(text), len(pattern)
+    matches: list[int] = []
+    trace: list[int] = []
+    if m == 0 or m > n:
+        return matches, trace
+    skip = {}
+    for q in range(m - 1):
+        skip[pattern[q]] = m - 1 - q
+    last = pattern[m - 1]
+    j = 0
+    while j <= n - m:
+        trace.append(j)
+        c = text[j + m - 1]
+        if c == last:
+            q = 0
+            while q < m - 1 and text[j + q] == pattern[q]:
+                q += 1
+            if q == m - 1:
+                matches.append(j)
+        j += skip.get(c, m)
+    return matches, trace

@@ -13,12 +13,11 @@ from mvmatch import (
     GenConfig,
     BenchConfig,
     build_shift_table,
-    classic_horspool_trace,
     generate_instance,
     generate_instance_with_start,
-    horspool_alignment_trace,
     run_benchmark,
     search_horspool,
+    search_horspool_instrumented,
     search_naive,
 )
 from mvmatch.cli import main
@@ -27,6 +26,7 @@ from helpers import (
     char_pattern,
     char_registry,
     char_text,
+    classic_horspool_trace,
     oracle_scan,
     random_instance,
     shift_oracle,
@@ -47,7 +47,7 @@ def test_criterion_1_golden_traces():
     expected = {reg.symbol_of("B"): 3, reg.symbol_of("A"): 2, reg.symbol_of("b"): 1}
     assert table.shifts == expected
     assert table.default_shift == 4
-    assert horspool_alignment_trace(text, p) == [0, 1, 4]
+    assert search_horspool_instrumented(text, p)[1].trace == [0, 1, 4]
     assert search_horspool(text, p) == [4]
 
     text2 = char_text(reg, "baaaab", "AAAABB")
@@ -59,7 +59,7 @@ def test_criterion_1_golden_traces():
     for _ in range(5):
         t0 = time.perf_counter()
         build_shift_table(p)
-        horspool_alignment_trace(text, p)
+        search_horspool_instrumented(text, p)
         search_horspool(text, p)
         search_horspool(text2, p2)
         best = min(best, time.perf_counter() - t0)
@@ -103,7 +103,7 @@ def test_criterion_3_single_view_degeneracy():
         pat = "".join(rng.choice(alphabet) for _ in range(m))
         text = make_text([[reg.symbol_of(c) for c in s]], reg)
         pattern = resolve_pattern(list(pat), reg)
-        assert horspool_alignment_trace(text, pattern) == classic_horspool_trace(s, pat)
+        assert search_horspool_instrumented(text, pattern)[1].trace == classic_horspool_trace(s, pat)
         checked += 1
     _passed("criterion 3: single-view degeneracy", f"{checked} instances")
 
@@ -181,7 +181,7 @@ def test_criterion_6_progress_and_bounds():
 
     for k, n, sigma, m, mode in cases:
         text, pattern, _ = random_instance(rng, k, n, sigma, m, mode)
-        trace = horspool_alignment_trace(text, pattern)
+        trace = search_horspool_instrumented(text, pattern)[1].trace
         if m > n:
             assert trace == []
             continue
@@ -230,18 +230,38 @@ def test_criterion_7_cli_round_trip(tmp_path, capsys):
     _passed("criterion 7: CLI round trip", f"{checked} seeded configs")
 
 
+CRITERION_8_FLAGS = [
+    "bench", "--k", "2", "--n", "2000", "--sigma", "5",
+    "--m-list", "2", "6", "12", "--instances", "5", "--seed", "99",
+    "--counts-only",
+]
+
+
 def test_criterion_8_bench_determinism(tmp_path, capsys):
-    flags = [
-        "bench", "--k", "2", "--n", "2000", "--sigma", "5",
-        "--m-list", "2", "6", "12", "--instances", "5", "--seed", "99",
-        "--counts-only",
-    ]
     blobs = []
     for i in range(2):
         path = str(tmp_path / f"run{i}.csv")
-        assert main(flags + ["--csv", path]) == 0
+        assert main(CRITERION_8_FLAGS + ["--csv", path]) == 0
         capsys.readouterr()
         with open(path, "rb") as fh:
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
     _passed("criterion 8: bench determinism", f"{len(blobs[0])} byte CSV")
+
+
+def test_criterion_8_pinned_counts(tmp_path, capsys):
+    # Exact counts are the hardware-independent truth: a change to a kernel
+    # that is not meant to change the algorithm must leave them byte-identical.
+    path = tmp_path / "run.csv"
+    assert main(CRITERION_8_FLAGS + ["--csv", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text() == (
+        "m,algorithm,instances,total_time_s,total_symbol_reads,total_alignments,total_matches\n"
+        "2,horspool,5,0.0,12094,5532,373\n"
+        "2,naive,5,0.0,11957,9995,373\n"
+        "6,horspool,5,0.0,6246,2727,0\n"
+        "6,naive,5,0.0,12365,9975,0\n"
+        "12,horspool,5,0.0,4881,2155,0\n"
+        "12,naive,5,0.0,12434,9945,0\n"
+    )
+    _passed("criterion 8: pinned counts", "6 rows")

@@ -63,6 +63,37 @@ class TestParseTextFile:
         assert reg2.view_names == registry.view_names
         assert text2.views == text.views
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0c", "\x0b", "\x1e", "\r"])
+    def test_line_separator_inside_token(self, sep):
+        token = f"a{sep}b"
+        registry, text = parse_text_file(f"w\tt\n{token}\tT\n".encode())
+        assert text.n == 1
+        assert registry.token_of(text.views[0][0]) == token
+        data = serialize_text(text)
+        reg2, text2 = parse_text_file(data)
+        assert reg2.symbol_to_token == registry.symbol_to_token
+        assert text2.views == text.views
+        assert serialize_text(text2) == data
+
+    def test_crlf_file(self):
+        registry, text = parse_text_file(BABB_FILE.replace(b"\n", b"\r\n"))
+        assert registry.view_names == ("word", "tag")
+        assert serialize_text(text) == BABB_FILE
+
+    def test_blank_line_is_a_record(self):
+        with pytest.raises(FormatError) as exc:
+            parse_text_file(b"w\tt\na\tA\n\n")
+        assert exc.value.line == 3
+
+    def test_duplicate_view_name(self):
+        with pytest.raises(FormatError) as exc:
+            parse_text_file(b"w\tw\na\tb\n")
+        assert exc.value.line == 1
+
+    def test_byte_order_mark(self):
+        registry, _ = parse_text_file(b"\xef\xbb\xbf" + BABB_FILE)
+        assert registry.view_names == ("word", "tag")
+
 
 class TestParsePatternString:
     def test_basic(self):
@@ -209,6 +240,14 @@ class TestCmdBench:
         with open(path) as fh:
             assert len(fh.read().splitlines()) == 3
         capsys.readouterr()
+
+    def test_pattern_longer_than_text_has_no_ratio(self, tmp_path, capsys):
+        code = main(["bench", "--n", "50", "--m-list", "4", "60", "--instances", "1",
+                     "--csv", str(tmp_path / "b.csv")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("m=4: read ratio naive/horspool = ")
+        assert lines[1] == "m=60: no windows (m > n)"
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         code = main(["bench", "--k", "0", "--n", "100", "--sigma", "2",

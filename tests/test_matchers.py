@@ -5,9 +5,6 @@ import pytest
 from mvmatch import (
     RegistryMismatch,
     build_registry,
-    classic_horspool,
-    classic_horspool_trace,
-    horspool_alignment_trace,
     make_text,
     resolve_pattern,
     search_horspool,
@@ -16,7 +13,15 @@ from mvmatch import (
     search_naive_instrumented,
 )
 
-from helpers import char_pattern, char_registry, char_text, oracle_scan, random_instance
+from helpers import (
+    char_pattern,
+    char_registry,
+    char_text,
+    classic_horspool,
+    classic_horspool_trace,
+    oracle_scan,
+    random_instance,
+)
 
 
 @pytest.fixture
@@ -33,7 +38,7 @@ def test_babb_horspool(babb_instance):
 
 def test_babb_trace(babb_instance):
     _, text, p = babb_instance
-    assert horspool_alignment_trace(text, p) == [0, 1, 4]
+    assert search_horspool_instrumented(text, p)[1].trace == [0, 1, 4]
 
 
 def test_babb_naive(babb_instance):
@@ -55,9 +60,10 @@ def test_pattern_longer_than_text():
     p = char_pattern(reg, "aba")
     assert search_horspool(text, p) == []
     assert search_naive(text, p) == []
-    assert horspool_alignment_trace(text, p) == []
-    matches, stats = search_horspool_instrumented(text, p)
-    assert matches == [] and stats.alignments == 0 and stats.symbol_reads == 0
+    for run in (search_horspool_instrumented, search_naive_instrumented):
+        matches, stats = run(text, p)
+        assert matches == [] and list(stats.trace) == []
+        assert stats.alignments == 0 and stats.symbol_reads == 0
 
 
 def test_unit_pattern_matches_everywhere():
@@ -72,7 +78,7 @@ def test_single_window():
     reg = char_registry()
     text = char_text(reg, "ab", "AB")
     p = char_pattern(reg, "ab")
-    assert horspool_alignment_trace(text, p) == [0]
+    assert search_horspool_instrumented(text, p)[1].trace == [0]
 
 
 def test_registry_mismatch():
@@ -85,7 +91,6 @@ def test_registry_mismatch():
         search_naive,
         search_horspool_instrumented,
         search_naive_instrumented,
-        horspool_alignment_trace,
     ):
         with pytest.raises(RegistryMismatch):
             fn(text, p)
@@ -113,7 +118,7 @@ def test_naive_instrumented_unit_pattern():
     text = make_text([[0, 0, 0]], reg)
     p = resolve_pattern(["a"], reg)
     matches, stats = search_naive_instrumented(text, p)
-    assert matches == [0, 1, 2]
+    assert matches == [0, 1, 2] and list(stats.trace) == [0, 1, 2]
     assert stats.alignments == 3 and stats.symbol_reads == 3
 
 
@@ -169,7 +174,7 @@ def test_trace_strictly_increasing_within_bounds():
         n = rng.randint(1, 100)
         m = rng.randint(1, 12)
         text, pattern, _ = random_instance(rng, rng.randint(1, 3), n, rng.randint(1, 5), m)
-        trace = horspool_alignment_trace(text, pattern)
+        trace = search_horspool_instrumented(text, pattern)[1].trace
         if m > n:
             assert trace == []
             continue
@@ -189,7 +194,7 @@ def test_single_view_degeneracy_trace():
         pat = "".join(rng.choice(alphabet) for _ in range(m))
         text = make_text([[reg.symbol_of(c) for c in s]], reg)
         pattern = resolve_pattern(list(pat), reg)
-        assert horspool_alignment_trace(text, pattern) == classic_horspool_trace(s, pat)
+        assert search_horspool_instrumented(text, pattern)[1].trace == classic_horspool_trace(s, pat)
         assert search_horspool(text, pattern) == classic_horspool(s, pat)
 
 
