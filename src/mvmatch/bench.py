@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
 
-import numpy as np
-
 from .matchers import (
     search_horspool,
     search_horspool_instrumented,
@@ -73,6 +71,8 @@ class BenchConfig:
 
 def instance_seed(base_seed: int, m: int, index: int) -> int:
     """Deterministic per-instance seed; stable across runs and platforms."""
+    import numpy as np  # here, not at module top: `mvmatch search` never needs it
+
     ss = np.random.SeedSequence(entropy=(base_seed, m, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     AlphabetRegistry,
     MatchingError,
@@ -78,6 +76,8 @@ def generate_instance_with_start(
 ) -> tuple[MultiViewText, Pattern, Optional[int]]:
     """Like generate_instance, also returning the planted window position
     (None in uniform mode)."""
+    import numpy as np  # here, not at module top: `mvmatch search` never needs it
+
     config.validate()
     k, n, sigma, m = config.k, config.n, config.sigma, config.m
     registry = synthetic_registry(k, sigma)

@@ -10,7 +10,15 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from mvmatch import MultiViewText, Pattern, build_registry, make_text, resolve_pattern
+from mvmatch import (
+    AlphabetRegistry,
+    FormatError,
+    MultiViewText,
+    Pattern,
+    build_registry,
+    make_text,
+    resolve_pattern,
+)
 
 
 def char_registry():
@@ -117,3 +125,49 @@ def _classic_horspool(text: Sequence, pattern: Sequence):
                 matches.append(j)
         j += skip.get(c, m)
     return matches, trace
+
+
+def reference_parse_text_file(data: bytes) -> tuple[AlphabetRegistry, MultiViewText]:
+    """Line-by-line parser of the multi-track format, the reference for the
+    bulk parser in mvmatch.formats: equal registries and views on valid
+    input, the same exception, line and reason on invalid input."""
+    try:
+        content = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise FormatError(0, f"not valid UTF-8: {exc}") from None
+
+    # Only "\n" ends a line: str.splitlines would also split tokens holding
+    # U+2028, U+0085, "\x0c" and other separators.
+    lines = content.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline
+    if not lines:
+        raise FormatError(0, "empty file: missing header line")
+    header = lines[0].split("\t")
+    if any(not name for name in header):
+        raise FormatError(1, "empty view name in header")
+    if len(set(header)) != len(header):
+        raise FormatError(1, "duplicate view name in header")
+    k = len(header)
+
+    records: list[list[str]] = []
+    # dicts keep insertion order, giving reproducible symbol ids
+    vocabularies: list[dict[str, None]] = [{} for _ in range(k)]
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != k:
+            raise FormatError(lineno, f"expected {k} fields, got {len(fields)}")
+        for v, token in enumerate(fields):
+            if not token:
+                raise FormatError(lineno, f"empty token in column {v + 1}")
+            vocabularies[v][token] = None
+        records.append(fields)
+
+    registry = build_registry(header, [list(v) for v in vocabularies])
+    columns: list[list[int]] = [[] for _ in range(k)]
+    lookup = registry.token_to_symbol
+    for fields in records:
+        for v, token in enumerate(fields):
+            columns[v].append(lookup[token])
+    text = MultiViewText(tuple(tuple(c) for c in columns), registry)
+    return registry, text

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mvmatch
 from mvmatch import (
     DisjointnessViolation,
     EmptyPattern,
@@ -117,6 +123,16 @@ class TestParsePatternString:
     def test_serialize_pattern(self):
         reg = char_registry()
         assert serialize_pattern(char_pattern(reg, "BAbB")) == b"B A b B\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # `search` pays for every module that importing the CLI loads
+    env = dict(os.environ, PYTHONPATH=str(Path(mvmatch.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, mvmatch.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestCmdSearch:
