@@ -2,19 +2,19 @@
 
 For each pattern length m, both algorithms run on the same generated
 instances; instance seeds derive deterministically from (seed, m, index).
-Wall time is measured per (m, algorithm) batch and includes the pattern
-pre-processing, so the comparison is end to end.  Symbol-read and
-alignment counts come from the instrumented kernels and are the
-hardware-independent measure; they are reproducible across runs, wall time
-naturally is not.
+Every run counts: symbol-read, alignment and match counts come from the
+instrumented kernels and are the hardware-independent measure, reproducible
+across runs.  A timed run also measures the fast kernel's wall time per
+(m, algorithm) batch, including the pattern pre-processing, so the
+comparison is end to end; wall time naturally does not reproduce.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from dataclasses import dataclass
+from typing import IO, Iterable
 
 from .matchers import (
     search_horspool,
@@ -24,8 +24,12 @@ from .matchers import (
 )
 from .synth import GenConfig, InvalidConfig, generate_instance
 
-ALGORITHMS = ("horspool", "naive")
-MEASURES = ("wall_time", "counts")
+# algorithm -> (fast kernel, instrumented kernel)
+KERNELS = {
+    "horspool": (search_horspool, search_horspool_instrumented),
+    "naive": (search_naive, search_naive_instrumented),
+}
+ALGORITHMS = tuple(KERNELS)
 
 
 @dataclass(frozen=True)
@@ -37,14 +41,12 @@ class BenchConfig:
     instances_per_m: int
     seed: int
     algorithms: tuple[str, ...] = ALGORITHMS
-    measure: tuple[str, ...] = MEASURES
+    timed: bool = True
     pattern_mode: str = "uniform"
 
     def validate(self) -> None:
         if not self.m_values:
             raise InvalidConfig("m_values must be non-empty")
-        if any(m < 1 for m in self.m_values):
-            raise InvalidConfig(f"every m must be >= 1, got {self.m_values}")
         if self.instances_per_m < 1:
             raise InvalidConfig(
                 f"instances_per_m must be >= 1, got {self.instances_per_m}"
@@ -52,11 +54,10 @@ class BenchConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown or not self.algorithms:
             raise InvalidConfig(f"algorithms must be a non-empty subset of {ALGORITHMS}")
-        unknown = set(self.measure) - set(MEASURES)
-        if unknown or not self.measure:
-            raise InvalidConfig(f"measure must be a non-empty subset of {MEASURES}")
-        # Delegate the per-instance bounds to GenConfig.
-        self._gen_config(self.m_values[0], 0).validate()
+        # Delegate the per-instance bounds to GenConfig, for every m before
+        # any instance is generated.
+        for m in sorted(set(self.m_values)):
+            self._gen_config(m, 0).validate()
 
     def _gen_config(self, m: int, index: int) -> GenConfig:
         return GenConfig(
@@ -88,40 +89,29 @@ class BenchRow:
     instances: int = 0
 
 
-_FAST = {"horspool": search_horspool, "naive": search_naive}
-_INSTRUMENTED = {
-    "naive": search_naive_instrumented,
-    "horspool": search_horspool_instrumented,
-}
-
-
 def run_benchmark(config: BenchConfig) -> list[BenchRow]:
+    """One row per (m, algorithm), m ascending then algorithm name; each
+    distinct m runs once."""
     config.validate()
-    time_it = "wall_time" in config.measure
-    count_it = "counts" in config.measure
     algorithms = sorted(set(config.algorithms))
 
     rows: list[BenchRow] = []
-    for m in sorted(config.m_values):
-        per_alg = {a: BenchRow(m=m, algorithm=a) for a in algorithms}
+    for m in sorted(set(config.m_values)):
+        per_alg = [BenchRow(m=m, algorithm=a) for a in algorithms]
         for index in range(config.instances_per_m):
             text, pattern = generate_instance(config._gen_config(m, index))
-            for alg in algorithms:
-                row = per_alg[alg]
+            for row in per_alg:
+                fast, instrumented = KERNELS[row.algorithm]
                 row.instances += 1
-                if time_it:
-                    search = _FAST[alg]
+                if config.timed:
                     t0 = time.perf_counter()
-                    matches = search(text, pattern)
+                    fast(text, pattern)
                     row.total_time += time.perf_counter() - t0
-                    row.total_matches += len(matches)
-                if count_it:
-                    matches, stats = _INSTRUMENTED[alg](text, pattern)
-                    row.total_symbol_reads += stats.symbol_reads
-                    row.total_alignments += stats.alignments
-                    if not time_it:
-                        row.total_matches += len(matches)
-        rows.extend(per_alg[a] for a in algorithms)
+                _, stats = instrumented(text, pattern)
+                row.total_symbol_reads += stats.symbol_reads
+                row.total_alignments += stats.alignments
+                row.total_matches += stats.matches_found
+        rows.extend(per_alg)
     return rows
 
 
@@ -136,31 +126,16 @@ CSV_COLUMNS = (
 )
 
 
-def write_csv(rows: Iterable[BenchRow], destination: Union[str, IO[str]]) -> None:
-    """Emit one data row per BenchRow, m ascending then algorithm name."""
-    rows = list(rows)
+def write_csv(rows: Iterable[BenchRow], fh: IO[str]) -> None:
+    """Write a header and one data row per BenchRow, m ascending then
+    algorithm name, to an open text stream (open files with newline="")."""
+    rows = sorted(rows, key=lambda r: (r.m, r.algorithm))
     if not rows:
         raise ValueError("refusing to write an empty benchmark CSV")
-    rows.sort(key=lambda r: (r.m, r.algorithm))
-    if isinstance(destination, str):
-        with open(destination, "w", newline="") as fh:
-            _write_csv(rows, fh)
-    else:
-        _write_csv(rows, destination)
-
-
-def _write_csv(rows: list[BenchRow], fh: IO[str]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.m,
-                r.algorithm,
-                r.instances,
-                repr(r.total_time),
-                r.total_symbol_reads,
-                r.total_alignments,
-                r.total_matches,
-            ]
-        )
+    writer.writerows(
+        [r.m, r.algorithm, r.instances, repr(r.total_time), r.total_symbol_reads,
+         r.total_alignments, r.total_matches]
+        for r in rows
+    )

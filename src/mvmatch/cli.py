@@ -71,13 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_search(args) -> int:
-    try:
-        with open(args.text, "rb") as fh:
-            registry, text = parse_text_file(fh.read())
-        pattern = parse_pattern_string(args.pattern, registry)
-    except (OSError, MatchingError) as exc:
-        print(f"mvmatch: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    # parse_text_file, parse_pattern_string and search_horspool are called
+    # through this module's globals, so a caller can wrap them to trace them.
+    with open(args.text, "rb") as fh:
+        registry, text = parse_text_file(fh.read())
+    pattern = parse_pattern_string(args.pattern, registry)
 
     if args.stats:
         run = search_horspool_instrumented if args.algorithm == "horspool" \
@@ -103,21 +101,16 @@ def cmd_search(args) -> int:
 def cmd_gen(args) -> int:
     config = GenConfig(k=args.k, n=args.n, sigma=args.sigma, m=args.m,
                        seed=args.seed, pattern_mode=args.mode)
-    try:
-        text, pattern = generate_instance(config)
-        with open(args.out_text, "wb") as fh:
-            fh.write(serialize_text(text))
-        with open(args.out_pattern, "wb") as fh:
-            fh.write(serialize_pattern(pattern))
-    except (OSError, MatchingError) as exc:
-        print(f"mvmatch: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    text, pattern = generate_instance(config)
+    with open(args.out_text, "wb") as fh:
+        fh.write(serialize_text(text))
+    with open(args.out_pattern, "wb") as fh:
+        fh.write(serialize_pattern(pattern))
     return 0
 
 
 def cmd_bench(args) -> int:
     m_values = tuple(args.m_list) if args.m_list else tuple(range(args.m_min, args.m_max + 1))
-    measure = ("counts",) if args.counts_only else ("wall_time", "counts")
     config = BenchConfig(
         k=args.k,
         n=args.n,
@@ -126,39 +119,38 @@ def cmd_bench(args) -> int:
         instances_per_m=args.instances,
         seed=args.seed,
         algorithms=tuple(args.algorithms),
-        measure=measure,
+        timed=not args.counts_only,
         pattern_mode=args.mode,
     )
-    try:
-        rows = run_benchmark(config)
-        write_csv(rows, args.csv)
-    except (OSError, MatchingError) as exc:
-        print(f"mvmatch: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    rows = run_benchmark(config)
+    with open(args.csv, "w", newline="") as fh:
+        write_csv(rows, fh)
 
-    by_m: dict[int, dict[str, object]] = {}
-    for row in rows:
-        by_m.setdefault(row.m, {})[row.algorithm] = row
-    for m in sorted(by_m):
-        group = by_m[m]
-        if "naive" in group and "horspool" in group:
-            if m > args.n:
-                print(f"m={m}: no windows (m > n)")
-                continue
-            nv, hs = group["naive"], group["horspool"]
-            time_ratio = nv.total_time / hs.total_time if hs.total_time else float("nan")
-            # m <= n: every instance has at least one alignment of k >= 1 reads
-            read_ratio = nv.total_symbol_reads / hs.total_symbol_reads
-            line = f"m={m}: read ratio naive/horspool = {read_ratio:.3f}"
-            if not args.counts_only:
-                line += f", time ratio = {time_ratio:.3f}"
-            print(line)
+    if set(config.algorithms) != set(ALGORITHMS):
+        return 0  # a ratio needs both algorithms
+    row_of = {(row.m, row.algorithm): row for row in rows}
+    for m in sorted(set(m_values)):
+        if m > args.n:
+            print(f"m={m}: no windows (m > n)")
+            continue
+        nv, hs = row_of[m, "naive"], row_of[m, "horspool"]
+        # m <= n: every instance has at least one alignment of k >= 1 reads,
+        # and a timed search takes a nonzero time
+        read_ratio = nv.total_symbol_reads / hs.total_symbol_reads
+        line = f"m={m}: read ratio naive/horspool = {read_ratio:.3f}"
+        if config.timed:
+            line += f", time ratio = {nv.total_time / hs.total_time:.3f}"
+        print(line)
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, MatchingError) as exc:
+        print(f"mvmatch: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

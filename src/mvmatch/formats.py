@@ -5,11 +5,12 @@ ignored), one record per LF- or CRLF-terminated line, fields
 tab-separated, first line a header of distinct view names.  Column v of
 the body holds view v's token at each position; column vocabularies must
 be pairwise disjoint.  Tokens may not contain tabs or newlines and there
-is no quoting.  Patterns are plain whitespace-separated token strings.
+is no quoting.  Pattern strings are tokens separated by runs of space,
+tab, CR and LF; any other character, other whitespace included (U+00A0,
+U+2028, U+0085, "\x0c", ...), belongs to a token.
 
-Known limitation: a token may hold spaces and other whitespace except tab
-and newline (U+2028, U+0085, "\x0c", ...), but such a token cannot be
-named in a pattern string, because patterns split on any whitespace.
+Known limitation: a token holding a space or a CR cannot be named in a
+pattern string, though the text format accepts it.
 """
 
 from __future__ import annotations
@@ -138,10 +139,24 @@ def _unwritable(field: str, column: int, k: int) -> str | None:
     return None
 
 
+def _pattern_tokens(s: str) -> list[str]:
+    """Split on runs of space, tab, CR and LF only."""
+    spaced = s.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    return [token for token in spaced.split(" ") if token]
+
+
 def parse_pattern_string(s: str, registry: AlphabetRegistry) -> Pattern:
-    """Whitespace-separated tokens resolved against the registry."""
-    return resolve_pattern(s.split(), registry)
+    """Tokens separated by runs of space, tab, CR and LF, resolved against
+    the registry."""
+    return resolve_pattern(_pattern_tokens(s), registry)
 
 
 def serialize_pattern(pattern: Pattern) -> bytes:
+    """Inverse of parse_pattern_string; raises FormatError for a token that
+    would not read back as itself."""
+    for token in pattern.tokens():
+        if _pattern_tokens(token) != [token]:
+            raise FormatError(
+                1, f"pattern token {token!r} is empty or holds a space, tab, CR or LF"
+            )
     return (" ".join(pattern.tokens()) + "\n").encode("utf-8")

@@ -133,7 +133,7 @@ def test_criterion_5_desk_scale_speedup():
         m_values=m_grid,
         instances_per_m=100,
         seed=20260826,
-        measure=("wall_time", "counts"),
+        timed=True,
     )
     rows = run_benchmark(config)
     by = {(r.m, r.algorithm): r for r in rows}

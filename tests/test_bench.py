@@ -3,6 +3,7 @@ import io
 import pytest
 
 from mvmatch import BenchConfig, BenchRow, InvalidConfig, run_benchmark, write_csv
+from mvmatch import bench
 from mvmatch.bench import instance_seed
 
 
@@ -14,7 +15,7 @@ def small_config(**overrides):
         m_values=(2, 4, 6),
         instances_per_m=5,
         seed=11,
-        measure=("counts",),
+        timed=False,
     )
     base.update(overrides)
     return BenchConfig(**base)
@@ -27,11 +28,29 @@ def test_invalid_configs():
         small_config(instances_per_m=0),
         small_config(algorithms=("kmp",)),
         small_config(algorithms=()),
-        small_config(measure=("cycles",)),
         small_config(sigma=0),
     ):
         with pytest.raises(InvalidConfig):
             run_benchmark(bad)
+
+
+def test_every_m_validated_before_any_instance(monkeypatch):
+    def generate(config):
+        raise AssertionError(f"generated an instance for m={config.m}")
+
+    monkeypatch.setattr(bench, "generate_instance", generate)
+    config = BenchConfig(k=2, n=50, sigma=3, m_values=(2, 60), instances_per_m=1,
+                         seed=0, pattern_mode="planted")
+    with pytest.raises(InvalidConfig, match="m=60"):
+        run_benchmark(config)
+
+
+def test_repeated_m_runs_once():
+    rows = run_benchmark(small_config(m_values=(4, 2, 4)))
+    assert [(r.m, r.algorithm) for r in rows] == [
+        (2, "horspool"), (2, "naive"), (4, "horspool"), (4, "naive"),
+    ]
+    assert all(r.instances == 5 for r in rows)
 
 
 def test_row_shape_and_order():
@@ -78,10 +97,13 @@ def test_instance_seed_deterministic_and_distinct():
 
 
 def test_wall_time_populated_when_measured():
-    rows = run_benchmark(small_config(measure=("wall_time", "counts")))
+    rows = run_benchmark(small_config(timed=True))
     assert all(r.total_time > 0 for r in rows)
     counts_only = run_benchmark(small_config())
     assert all(r.total_time == 0.0 for r in counts_only)
+    # timing never changes the counts
+    assert [(r.total_symbol_reads, r.total_alignments, r.total_matches) for r in rows] == \
+        [(r.total_symbol_reads, r.total_alignments, r.total_matches) for r in counts_only]
 
 
 def test_single_algorithm_run():
@@ -112,7 +134,8 @@ def test_write_csv_rejects_empty():
 
 def test_write_csv_to_path(tmp_path):
     dest = tmp_path / "bench.csv"
-    write_csv([BenchRow(m=1, algorithm="naive", instances=1)], str(dest))
+    with open(dest, "w", newline="") as fh:
+        write_csv([BenchRow(m=1, algorithm="naive", instances=1)], fh)
     assert dest.read_text().count("\n") == 2
 
 
@@ -120,7 +143,7 @@ def test_alignments_per_instance_trend():
     # averaged horspool alignments should trend down as m grows
     rows = run_benchmark(
         BenchConfig(k=2, n=2000, sigma=6, m_values=(2, 8, 16), instances_per_m=10,
-                    seed=3, algorithms=("horspool",), measure=("counts",))
+                    seed=3, algorithms=("horspool",), timed=False)
     )
     means = [r.total_alignments / r.instances for r in rows]
     assert means[0] > means[-1]

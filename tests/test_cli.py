@@ -11,11 +11,14 @@ from mvmatch import (
     EmptyPattern,
     FormatError,
     UnknownSymbol,
+    build_registry,
     parse_pattern_string,
     parse_text_file,
+    resolve_pattern,
     serialize_pattern,
     serialize_text,
 )
+from mvmatch import cli
 from mvmatch.cli import main
 
 from helpers import char_pattern, char_registry, char_text
@@ -120,9 +123,21 @@ class TestParsePatternString:
         with pytest.raises(EmptyPattern):
             parse_pattern_string("   ", char_registry())
 
+    @pytest.mark.parametrize("sep", ["\xa0", "\u2028", "\x85", "\x0c", "\x0b"])
+    def test_other_whitespace_is_part_of_a_token(self, sep):
+        token = f"10{sep}000"
+        reg = build_registry(["w"], [[token, "a"]])
+        assert parse_pattern_string(f" {token}\ta\r\n", reg).tokens() == (token, "a")
+
     def test_serialize_pattern(self):
         reg = char_registry()
         assert serialize_pattern(char_pattern(reg, "BAbB")) == b"B A b B\n"
+
+    @pytest.mark.parametrize("token", ["x y", "x\ty", "x\r", "\ny", ""])
+    def test_serialize_pattern_refuses_a_separator_in_a_token(self, token):
+        reg = build_registry(["w"], [[token, "a"]])
+        with pytest.raises(FormatError):
+            serialize_pattern(resolve_pattern(["a", token], reg))
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -178,6 +193,25 @@ class TestCmdSearch:
                      "--pattern", "B A b B", "--count"])
         assert code == 0
         assert capsys.readouterr().out == "1\n"
+
+    def test_no_break_space_token(self, tmp_path, capsys):
+        path = tmp_path / "t.tsv"
+        path.write_bytes("w\tt\n10\u00a0000\tT\n1\tT\n".encode())
+        code = main(["search", "--text", str(path), "--pattern", "10\u00a0000 T"])
+        assert code == 0
+        assert capsys.readouterr().out == "0\n"
+
+    def test_calls_layer_functions_through_module_globals(self, tmp_path, capsys, monkeypatch):
+        # a tracer wraps these module attributes to time each layer of `search`
+        calls = []
+        for name in ("parse_text_file", "parse_pattern_string", "search_horspool"):
+            def traced(*args, _name=name, _fn=getattr(cli, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, traced)
+        assert main(["search", "--text", write_babb(tmp_path), "--pattern", "B A b B"]) == 0
+        assert sorted(calls) == ["parse_pattern_string", "parse_text_file", "search_horspool"]
+        capsys.readouterr()
 
     def test_stats_to_stderr(self, tmp_path, capsys):
         code = main(["search", "--text", write_babb(tmp_path),
@@ -264,6 +298,17 @@ class TestCmdBench:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("m=4: read ratio naive/horspool = ")
         assert lines[1] == "m=60: no windows (m > n)"
+
+    def test_repeated_m_runs_once(self, tmp_path, capsys):
+        path = tmp_path / "b.csv"
+        code = main(["bench", "--k", "2", "--n", "100", "--sigma", "3",
+                     "--m-list", "4", "4", "--instances", "1", "--seed", "2",
+                     "--csv", str(path), "--counts-only"])
+        assert code == 0
+        assert [line.split(",")[:2] for line in path.read_text().splitlines()[1:]] == \
+            [["4", "horspool"], ["4", "naive"]]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("m=4: read ratio")
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         code = main(["bench", "--k", "0", "--n", "100", "--sigma", "2",

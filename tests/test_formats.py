@@ -1,12 +1,17 @@
 """The bulk text parser against the line-by-line reference, and the
-serializer's refusal to write what would not parse back."""
+serializers' refusal to write what would not parse back."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvmatch import FormatError, MatchingError, build_registry, make_text
-from mvmatch.formats import parse_text_file, serialize_text
+from mvmatch import FormatError, MatchingError, build_registry, make_text, resolve_pattern
+from mvmatch.formats import (
+    parse_pattern_string,
+    parse_text_file,
+    serialize_pattern,
+    serialize_text,
+)
 
 from helpers import reference_parse_text_file
 
@@ -159,3 +164,20 @@ def test_serialize_round_trips_or_refuses(data):
     assert parsed_registry.view_names == registry.view_names
     assert [[parsed_registry.token_of(s) for s in view] for view in parsed.views] == \
         [[registry.token_of(s) for s in view] for view in text.views]
+
+
+@PROPERTY
+@given(st.data())
+def test_serialize_pattern_round_trips_or_refuses(data):
+    tokens = data.draw(st.lists(adversarial_tokens, min_size=1, max_size=6, unique=True))
+    registry = build_registry(["w"], [tokens])
+    pattern = resolve_pattern(data.draw(st.lists(st.sampled_from(tokens), min_size=1,
+                                                 max_size=5)), registry)
+    unwritable = any(not t or set(t) & set(" \t\r\n") for t in pattern.tokens())
+    try:
+        written = serialize_pattern(pattern)
+    except FormatError:
+        assert unwritable
+        return
+    assert not unwritable
+    assert parse_pattern_string(written.decode("utf-8"), registry).symbols == pattern.symbols
