@@ -11,7 +11,6 @@ from .core import (
     RegistryMismatch,
     UnknownSymbol,
     build_registry,
-    make_text,
     occurs_at,
     resolve_pattern,
 )
@@ -24,7 +23,6 @@ from .matchers import (
     search_naive_instrumented,
 )
 from .synth import GenConfig, InvalidConfig, generate_instance, generate_instance_with_start
-from .bench import BenchConfig, BenchRow, run_benchmark, write_csv
 from .formats import (
     FormatError,
     parse_pattern_string,
@@ -35,8 +33,6 @@ from .formats import (
 
 __all__ = [
     "AlphabetRegistry",
-    "BenchConfig",
-    "BenchRow",
     "DisjointnessViolation",
     "EmptyPattern",
     "FormatError",
@@ -54,19 +50,16 @@ __all__ = [
     "build_shift_table",
     "generate_instance",
     "generate_instance_with_start",
-    "make_text",
     "occurs_at",
     "parse_pattern_string",
     "parse_text_file",
     "resolve_pattern",
-    "run_benchmark",
     "search_horspool",
     "search_horspool_instrumented",
     "search_naive",
     "search_naive_instrumented",
     "serialize_pattern",
     "serialize_text",
-    "write_csv",
 ]
 
 __version__ = "0.1.0"

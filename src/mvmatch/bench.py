@@ -16,20 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .matchers import (
-    search_horspool,
-    search_horspool_instrumented,
-    search_naive,
-    search_naive_instrumented,
-)
+from .matchers import ALGORITHMS, KERNELS
 from .synth import GenConfig, InvalidConfig, generate_instance
-
-# algorithm -> (fast kernel, instrumented kernel)
-KERNELS = {
-    "horspool": (search_horspool, search_horspool_instrumented),
-    "naive": (search_naive, search_naive_instrumented),
-}
-ALGORITHMS = tuple(KERNELS)
 
 
 @dataclass(frozen=True)
@@ -54,6 +42,8 @@ class BenchConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown or not self.algorithms:
             raise InvalidConfig(f"algorithms must be a non-empty subset of {ALGORITHMS}")
+        if self.seed < 0:  # checked here: instance_seed fails on it first
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         # Delegate the per-instance bounds to GenConfig, for every m before
         # any instance is generated.
         for m in sorted(set(self.m_values)):

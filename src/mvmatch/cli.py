@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import ALGORITHMS, BenchConfig, run_benchmark, write_csv
 from .core import MatchingError
 from .formats import parse_pattern_string, parse_text_file, serialize_pattern, serialize_text
-from .matchers import search_horspool, search_horspool_instrumented, search_naive, search_naive_instrumented
+from .matchers import (ALGORITHMS, search_horspool, search_horspool_instrumented, search_naive,
+                       search_naive_instrumented)
 from .synth import GenConfig, generate_instance
 
 EXIT_MATCH = 0
@@ -110,6 +110,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # here, not at module top: `mvmatch search` never needs the harness
+    from .bench import BenchConfig, run_benchmark, write_csv
+
     m_values = tuple(args.m_list) if args.m_list else tuple(range(args.m_min, args.m_max + 1))
     config = BenchConfig(
         k=args.k,
@@ -122,8 +125,11 @@ def cmd_bench(args) -> int:
         timed=not args.counts_only,
         pattern_mode=args.mode,
     )
-    rows = run_benchmark(config)
+    # A bad config leaves an existing file alone; a bad path fails before
+    # the run rather than after it.
+    config.validate()
     with open(args.csv, "w", newline="") as fh:
+        rows = run_benchmark(config)
         write_csv(rows, fh)
 
     if set(config.algorithms) != set(ALGORITHMS):

@@ -76,12 +76,6 @@ class AlphabetRegistry:
     def num_symbols(self) -> int:
         return len(self.symbol_to_token)
 
-    def view_of(self, symbol: SymbolId) -> ViewId:
-        return self.symbol_to_view[symbol]
-
-    def token_of(self, symbol: SymbolId) -> str:
-        return self.symbol_to_token[symbol]
-
     def symbol_of(self, token: str) -> SymbolId:
         try:
             return self.token_to_symbol[token]
@@ -144,25 +138,6 @@ class MultiViewText:
     def n(self) -> int:
         return len(self.views[0])
 
-    def check_symbol_typing(self) -> None:
-        """Verify every symbol sits in the view whose sequence holds it.
-
-        O(k*n); not run on construction so that bulk generation stays cheap.
-        """
-        view_of = self.registry.symbol_to_view
-        for v, seq in enumerate(self.views):
-            for sym in seq:
-                if view_of[sym] != v:
-                    raise ValueError(
-                        f"symbol {sym} (view {view_of[sym]}) stored in view {v}"
-                    )
-
-
-def make_text(
-    rows: Sequence[Sequence[SymbolId]], registry: AlphabetRegistry
-) -> MultiViewText:
-    return MultiViewText(tuple(tuple(r) for r in rows), registry)
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -179,20 +154,14 @@ class Pattern:
     def m(self) -> int:
         return len(self.symbols)
 
-    def views(self) -> tuple[ViewId, ...]:
-        """The view of each pattern position."""
-        view_of = self.registry.symbol_to_view
-        return tuple(view_of[s] for s in self.symbols)
-
     def tokens(self) -> tuple[str, ...]:
         token_of = self.registry.symbol_to_token
         return tuple(token_of[s] for s in self.symbols)
 
 
 def resolve_pattern(tokens: Sequence[str], registry: AlphabetRegistry) -> Pattern:
-    """Map token strings to a Pattern; unknown tokens are an error."""
-    if len(tokens) == 0:
-        raise EmptyPattern("pattern must contain at least one token")
+    """Map token strings to a Pattern; unknown tokens are an error, and so
+    is an empty list (EmptyPattern, from Pattern)."""
     return Pattern(tuple(registry.symbol_of(t) for t in tokens), registry)
 
 

@@ -148,3 +148,11 @@ def search_horspool_instrumented(
     stats.symbol_reads = reads + len(views) * len(trace)
     stats.matches_found = len(matches)
     return matches, stats
+
+
+# algorithm -> (fast kernel, instrumented kernel)
+KERNELS = {
+    "horspool": (search_horspool, search_horspool_instrumented),
+    "naive": (search_naive, search_naive_instrumented),
+}
+ALGORITHMS = tuple(KERNELS)

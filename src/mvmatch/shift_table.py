@@ -25,9 +25,6 @@ class ShiftTable:
     shifts: dict[SymbolId, int]
     default_shift: int
 
-    def lookup(self, symbol: SymbolId) -> int:
-        return self.shifts.get(symbol, self.default_shift)
-
 
 def build_shift_table(pattern: Pattern) -> ShiftTable:
     """One left-to-right pass over p[0..m-2]; later occurrences overwrite

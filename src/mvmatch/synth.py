@@ -49,6 +49,8 @@ class GenConfig:
             raise InvalidConfig(f"sigma must be >= 1, got {self.sigma}")
         if self.m < 1:
             raise InvalidConfig(f"m must be >= 1, got {self.m}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.pattern_mode not in PATTERN_MODES:
             raise InvalidConfig(f"unknown pattern_mode {self.pattern_mode!r}")
         if self.pattern_mode == "planted" and self.m > self.n:

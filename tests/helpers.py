@@ -16,9 +16,27 @@ from mvmatch import (
     MultiViewText,
     Pattern,
     build_registry,
-    make_text,
     resolve_pattern,
 )
+
+
+def make_text(rows: Sequence[Sequence[int]], registry: AlphabetRegistry) -> MultiViewText:
+    return MultiViewText(tuple(tuple(r) for r in rows), registry)
+
+
+def check_symbol_typing(text: MultiViewText) -> None:
+    """Verify every symbol sits in the view whose sequence holds it.
+
+    O(k*n); MultiViewText does not run it on construction so that bulk
+    generation stays cheap.
+    """
+    view_of = text.registry.symbol_to_view
+    for v, seq in enumerate(text.views):
+        for sym in seq:
+            if view_of[sym] != v:
+                raise ValueError(
+                    f"symbol {sym} (view {view_of[sym]}) stored in view {v}"
+                )
 
 
 def char_registry():

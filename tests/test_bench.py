@@ -2,9 +2,8 @@ import io
 
 import pytest
 
-from mvmatch import BenchConfig, BenchRow, InvalidConfig, run_benchmark, write_csv
-from mvmatch import bench
-from mvmatch.bench import instance_seed
+from mvmatch import InvalidConfig, bench
+from mvmatch.bench import BenchConfig, BenchRow, instance_seed, run_benchmark, write_csv
 
 
 def small_config(**overrides):
@@ -29,6 +28,7 @@ def test_invalid_configs():
         small_config(algorithms=("kmp",)),
         small_config(algorithms=()),
         small_config(sigma=0),
+        small_config(seed=-1),
     ):
         with pytest.raises(InvalidConfig):
             run_benchmark(bad)

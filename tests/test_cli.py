@@ -18,7 +18,7 @@ from mvmatch import (
     serialize_pattern,
     serialize_text,
 )
-from mvmatch import cli
+from mvmatch import bench, cli
 from mvmatch.cli import main
 
 from helpers import char_pattern, char_registry, char_text
@@ -40,7 +40,7 @@ class TestParseTextFile:
         assert registry.k == 2
         assert text.n == 8
         assert registry.view_names == ("word", "tag")
-        tokens = [registry.token_of(s) for s in text.views[0]]
+        tokens = [registry.symbol_to_token[s] for s in text.views[0]]
         assert "".join(tokens) == "cabbaabc"
 
     def test_header_only(self):
@@ -77,7 +77,7 @@ class TestParseTextFile:
         token = f"a{sep}b"
         registry, text = parse_text_file(f"w\tt\n{token}\tT\n".encode())
         assert text.n == 1
-        assert registry.token_of(text.views[0][0]) == token
+        assert registry.symbol_to_token[text.views[0][0]] == token
         data = serialize_text(text)
         reg2, text2 = parse_text_file(data)
         assert reg2.symbol_to_token == registry.symbol_to_token
@@ -144,10 +144,21 @@ def test_cli_import_leaves_numpy_unloaded():
     # `search` pays for every module that importing the CLI loads
     env = dict(os.environ, PYTHONPATH=str(Path(mvmatch.__file__).parents[1]))
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, mvmatch.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, mvmatch.cli; "
+         "print(sorted({'numpy', 'csv', 'mvmatch.bench'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+def test_package_exports_what_perfbench_uses():
+    # perfbench drives the library through `import mvmatch` alone
+    for name in ("GenConfig", "generate_instance", "parse_text_file", "parse_pattern_string",
+                 "build_shift_table", "search_horspool", "search_horspool_instrumented",
+                 "search_naive", "search_naive_instrumented"):
+        assert name in mvmatch.__all__ and callable(getattr(mvmatch, name))
+    table = mvmatch.build_shift_table(char_pattern(char_registry(), "BAbB"))
+    assert type(table.shifts) is dict
 
 
 class TestCmdSearch:
@@ -256,6 +267,13 @@ class TestCmdGen:
         assert code == 2
         assert capsys.readouterr().err
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        code = main(["gen", "--k", "1", "--n", "10", "--sigma", "2", "--m", "2",
+                     "--seed", "-1",
+                     "--out-text", str(tmp_path / "t"), "--out-pattern", str(tmp_path / "p")])
+        assert code == 2
+        assert capsys.readouterr().err == "mvmatch: seed must be >= 0, got -1\n"
+
 
 class TestCmdBench:
     def test_counts_only_deterministic(self, tmp_path, capsys):
@@ -311,8 +329,28 @@ class TestCmdBench:
         assert len(lines) == 1 and lines[0].startswith("m=4: read ratio")
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "b.csv"
+        path.write_text("earlier run\n")
         code = main(["bench", "--k", "0", "--n", "100", "--sigma", "2",
                      "--m-list", "4", "--instances", "1", "--seed", "2",
-                     "--csv", str(tmp_path / "b.csv"), "--counts-only"])
+                     "--csv", str(path), "--counts-only"])
         assert code == 2
         assert capsys.readouterr().err
+        assert path.read_text() == "earlier run\n"  # validated before the file is opened
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        code = main(["bench", "--n", "100", "--m-list", "4", "--instances", "1",
+                     "--seed", "-1", "--csv", str(tmp_path / "b.csv"), "--counts-only"])
+        assert code == 2
+        assert capsys.readouterr().err == "mvmatch: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_unwritable_csv_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def generate(config):
+            raise AssertionError(f"generated an instance for m={config.m}")
+
+        monkeypatch.setattr(bench, "generate_instance", generate)
+        code = main(["bench", "--n", "100", "--m-list", "2", "30", "--instances", "1",
+                     "--csv", str(tmp_path / "missing" / "b.csv"), "--counts-only"])
+        assert code == 2
+        assert "mvmatch:" in capsys.readouterr().err

@@ -9,22 +9,29 @@ from mvmatch import (
     Pattern,
     UnknownSymbol,
     build_registry,
-    make_text,
     occurs_at,
     resolve_pattern,
 )
 
-from helpers import char_pattern, char_registry, char_text, occurs_at_reference, random_instance
+from helpers import (
+    char_pattern,
+    char_registry,
+    char_text,
+    check_symbol_typing,
+    make_text,
+    occurs_at_reference,
+    random_instance,
+)
 
 
 class TestBuildRegistry:
     def test_two_views_four_symbols(self):
         reg = build_registry(["word", "tag"], [["a", "b"], ["A", "B"]])
         assert reg.num_symbols == 4
-        assert reg.view_of(reg.symbol_of("a")) == 0
-        assert reg.view_of(reg.symbol_of("b")) == 0
-        assert reg.view_of(reg.symbol_of("A")) == 1
-        assert reg.view_of(reg.symbol_of("B")) == 1
+        assert reg.symbol_to_view[reg.symbol_of("a")] == 0
+        assert reg.symbol_to_view[reg.symbol_of("b")] == 0
+        assert reg.symbol_to_view[reg.symbol_of("A")] == 1
+        assert reg.symbol_to_view[reg.symbol_of("B")] == 1
 
     def test_ids_contiguous_in_registration_order(self):
         reg = build_registry(["w", "t"], [["a", "b"], ["A"]])
@@ -56,8 +63,8 @@ class TestBuildRegistry:
     def test_totality(self):
         reg = build_registry(["w", "t"], [["a", "b"], ["A", "B"]])
         for sym in range(reg.num_symbols):
-            assert reg.view_of(sym) in (0, 1)
-            assert reg.symbol_of(reg.token_of(sym)) == sym
+            assert reg.symbol_to_view[sym] in (0, 1)
+            assert reg.symbol_of(reg.symbol_to_token[sym]) == sym
 
 
 class TestResolvePattern:
@@ -65,7 +72,7 @@ class TestResolvePattern:
         reg = build_registry(["word", "tag"], [list("abc"), list("ABC")])
         p = resolve_pattern(list("BAbB"), reg)
         assert p.m == 4
-        assert p.views() == (1, 1, 0, 1)
+        assert tuple(reg.symbol_to_view[s] for s in p.symbols) == (1, 1, 0, 1)
 
     def test_unit_pattern(self):
         reg = char_registry()
@@ -101,10 +108,10 @@ class TestText:
     def test_symbol_typing_check(self):
         reg = char_registry()
         text = char_text(reg, "ab", "AB")
-        text.check_symbol_typing()
+        check_symbol_typing(text)
         bad = make_text([[reg.symbol_of("A"), 0], [3, 4]], reg)
         with pytest.raises(ValueError):
-            bad.check_symbol_typing()
+            check_symbol_typing(bad)
 
 
 class TestOccursAt:
@@ -158,7 +165,7 @@ class TestOccursAt:
             text, pattern, _ = random_instance(rng, k, n, 3, m)
             i = rng.randrange(n - m + 1)
             before = occurs_at(text, pattern, i)
-            pattern_views = pattern.views()
+            pattern_views = [text.registry.symbol_to_view[s] for s in pattern.symbols]
             views = [list(v) for v in text.views]
             for j in range(m):
                 for v in range(k):

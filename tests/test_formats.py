@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvmatch import FormatError, MatchingError, build_registry, make_text, resolve_pattern
+from mvmatch import FormatError, MatchingError, build_registry, resolve_pattern
 from mvmatch.formats import (
     parse_pattern_string,
     parse_text_file,
@@ -13,7 +13,7 @@ from mvmatch.formats import (
     serialize_text,
 )
 
-from helpers import reference_parse_text_file
+from helpers import make_text, reference_parse_text_file
 
 PROPERTY = settings(max_examples=400, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -162,8 +162,8 @@ def test_serialize_round_trips_or_refuses(data):
         return
     parsed_registry, parsed = parse_text_file(written)
     assert parsed_registry.view_names == registry.view_names
-    assert [[parsed_registry.token_of(s) for s in view] for view in parsed.views] == \
-        [[registry.token_of(s) for s in view] for view in text.views]
+    assert [[parsed_registry.symbol_to_token[s] for s in view] for view in parsed.views] == \
+        [[registry.symbol_to_token[s] for s in view] for view in text.views]
 
 
 @PROPERTY

@@ -5,7 +5,6 @@ import pytest
 from mvmatch import (
     RegistryMismatch,
     build_registry,
-    make_text,
     resolve_pattern,
     search_horspool,
     search_horspool_instrumented,
@@ -19,6 +18,7 @@ from helpers import (
     char_text,
     classic_horspool,
     classic_horspool_trace,
+    make_text,
     oracle_scan,
     random_instance,
 )

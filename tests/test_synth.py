@@ -10,7 +10,7 @@ from mvmatch import (
     search_naive,
 )
 
-from helpers import oracle_scan
+from helpers import check_symbol_typing, oracle_scan
 
 
 def test_invalid_configs():
@@ -21,6 +21,7 @@ def test_invalid_configs():
         GenConfig(k=1, n=5, sigma=2, m=0, seed=0),
         GenConfig(k=1, n=5, sigma=2, m=6, seed=0, pattern_mode="planted"),
         GenConfig(k=1, n=5, sigma=2, m=1, seed=0, pattern_mode="zipf"),
+        GenConfig(k=1, n=5, sigma=2, m=1, seed=-1),
     ):
         with pytest.raises(InvalidConfig):
             generate_instance(bad)
@@ -68,8 +69,8 @@ def test_instances_satisfy_text_invariants():
             GenConfig(k=3, n=50, sigma=4, m=6, seed=seed)
         )
         assert len({len(v) for v in text.views}) == 1
-        text.check_symbol_typing()
-        views = pattern.views()
+        check_symbol_typing(text)
+        views = [text.registry.symbol_to_view[s] for s in pattern.symbols]
         assert all(0 <= v < 3 for v in views)
 
 
@@ -77,8 +78,8 @@ def test_token_naming_round_trips_views():
     text, _ = generate_instance(GenConfig(k=2, n=20, sigma=3, m=2, seed=0))
     reg = text.registry
     for sym in range(reg.num_symbols):
-        token = reg.token_of(sym)
-        assert token.startswith(f"v{reg.view_of(sym)}_")
+        token = reg.symbol_to_token[sym]
+        assert token.startswith(f"v{reg.symbol_to_view[sym]}_")
 
 
 def test_symbol_frequencies_uniform():
