@@ -1,7 +1,8 @@
 """Benchmark harness comparing the naive and multi-view Horspool searches.
 
 For each pattern length m, both algorithms run on the same generated
-instances; instance seeds derive deterministically from (seed, m, index).
+instances, each a uniform text and a uniform pattern; instance seeds derive
+deterministically from (seed, m, index).
 Every run counts: symbol-read, alignment and match counts come from the
 instrumented kernels and are the hardware-independent measure, reproducible
 across runs.  A timed run also measures the fast kernel's wall time per
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .matchers import ALGORITHMS, KERNELS
+from .matchers import KERNELS
 from .synth import GenConfig, InvalidConfig, generate_instance
 
 
@@ -28,9 +29,7 @@ class BenchConfig:
     m_values: tuple[int, ...]
     instances_per_m: int
     seed: int
-    algorithms: tuple[str, ...] = ALGORITHMS
     timed: bool = True
-    pattern_mode: str = "uniform"
 
     def validate(self) -> None:
         if not self.m_values:
@@ -39,25 +38,10 @@ class BenchConfig:
             raise InvalidConfig(
                 f"instances_per_m must be >= 1, got {self.instances_per_m}"
             )
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown or not self.algorithms:
-            raise InvalidConfig(f"algorithms must be a non-empty subset of {ALGORITHMS}")
-        if self.seed < 0:  # checked here: instance_seed fails on it first
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        # Delegate the per-instance bounds to GenConfig, for every m before
-        # any instance is generated.
-        for m in sorted(set(self.m_values)):
-            self._gen_config(m, 0).validate()
-
-    def _gen_config(self, m: int, index: int) -> GenConfig:
-        return GenConfig(
-            k=self.k,
-            n=self.n,
-            sigma=self.sigma,
-            m=m,
-            seed=instance_seed(self.seed, m, index),
-            pattern_mode=self.pattern_mode,
-        )
+        # Uniform patterns bound m only below, so one GenConfig at the
+        # smallest m checks every instance before any is generated.
+        GenConfig(k=self.k, n=self.n, sigma=self.sigma, m=min(self.m_values),
+                  seed=self.seed).validate()
 
 
 def instance_seed(base_seed: int, m: int, index: int) -> int:
@@ -83,13 +67,14 @@ def run_benchmark(config: BenchConfig) -> list[BenchRow]:
     """One row per (m, algorithm), m ascending then algorithm name; each
     distinct m runs once."""
     config.validate()
-    algorithms = sorted(set(config.algorithms))
 
     rows: list[BenchRow] = []
     for m in sorted(set(config.m_values)):
-        per_alg = [BenchRow(m=m, algorithm=a) for a in algorithms]
+        per_alg = [BenchRow(m=m, algorithm=a) for a in sorted(KERNELS)]
         for index in range(config.instances_per_m):
-            text, pattern = generate_instance(config._gen_config(m, index))
+            text, pattern = generate_instance(GenConfig(
+                k=config.k, n=config.n, sigma=config.sigma, m=m,
+                seed=instance_seed(config.seed, m, index)))
             for row in per_alg:
                 fast, instrumented = KERNELS[row.algorithm]
                 row.instances += 1

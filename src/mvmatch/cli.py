@@ -8,11 +8,12 @@ by default; --base 1 shifts them for comparison against 1-based diagrams.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import MatchingError
 from .formats import parse_pattern_string, parse_text_file, serialize_pattern, serialize_text
-from .matchers import (ALGORITHMS, search_horspool, search_horspool_instrumented, search_naive,
+from .matchers import (KERNELS, search_horspool, search_horspool_instrumented, search_naive,
                        search_naive_instrumented)
 from .synth import GenConfig, generate_instance
 
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="find all pattern occurrences in a text file")
     p.add_argument("--text", required=True, help="multi-track text file")
     p.add_argument("--pattern", required=True, help="whitespace-separated pattern tokens")
-    p.add_argument("--algorithm", choices=list(ALGORITHMS), default="horspool")
+    p.add_argument("--algorithm", choices=list(KERNELS), default="horspool")
     p.add_argument("--base", type=int, choices=[0, 1], default=0,
                    help="display base for printed positions")
     p.add_argument("--count", action="store_true", help="print only the match count")
@@ -54,15 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--sigma", type=int, default=10)
-    p.add_argument("--m-min", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=30)
-    p.add_argument("--m-list", type=int, nargs="+", default=None,
-                   help="explicit pattern lengths (overrides --m-min/--m-max)")
+    p.add_argument("--m-list", type=int, nargs="+", default=list(range(2, 31)),
+                   help="pattern lengths (default: 2 to 30)")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algorithms", nargs="+", choices=list(ALGORITHMS),
-                   default=list(ALGORITHMS))
-    p.add_argument("--mode", choices=["uniform", "planted"], default="uniform")
     p.add_argument("--csv", required=True, help="output CSV path")
     p.add_argument("--counts-only", action="store_true",
                    help="skip wall-time measurement; output is fully deterministic")
@@ -102,28 +98,44 @@ def cmd_gen(args) -> int:
     config = GenConfig(k=args.k, n=args.n, sigma=args.sigma, m=args.m,
                        seed=args.seed, pattern_mode=args.mode)
     text, pattern = generate_instance(config)
-    with open(args.out_text, "wb") as fh:
-        fh.write(serialize_text(text))
-    with open(args.out_pattern, "wb") as fh:
-        fh.write(serialize_pattern(pattern))
+    _write_all({args.out_text: serialize_text(text), args.out_pattern: serialize_pattern(pattern)})
     return 0
+
+
+def _write_all(blobs: dict[str, bytes]) -> None:
+    """Write every file or none: each goes first to a temporary file beside
+    its target, and the targets are replaced only once all are written."""
+    temps: list[tuple[str, str]] = []
+    try:
+        for path, data in blobs.items():
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                fh = open(tmp, "wb")
+            except OSError as exc:  # name the target, not the temporary file
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps.append((tmp, path))
+            with fh:
+                fh.write(data)
+        for tmp, path in temps:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def cmd_bench(args) -> int:
     # here, not at module top: `mvmatch search` never needs the harness
     from .bench import BenchConfig, run_benchmark, write_csv
 
-    m_values = tuple(args.m_list) if args.m_list else tuple(range(args.m_min, args.m_max + 1))
     config = BenchConfig(
         k=args.k,
         n=args.n,
         sigma=args.sigma,
-        m_values=m_values,
+        m_values=tuple(args.m_list),
         instances_per_m=args.instances,
         seed=args.seed,
-        algorithms=tuple(args.algorithms),
         timed=not args.counts_only,
-        pattern_mode=args.mode,
     )
     # A bad config leaves an existing file alone; a bad path fails before
     # the run rather than after it.
@@ -132,10 +144,8 @@ def cmd_bench(args) -> int:
         rows = run_benchmark(config)
         write_csv(rows, fh)
 
-    if set(config.algorithms) != set(ALGORITHMS):
-        return 0  # a ratio needs both algorithms
     row_of = {(row.m, row.algorithm): row for row in rows}
-    for m in sorted(set(m_values)):
+    for m in sorted(set(config.m_values)):
         if m > args.n:
             print(f"m={m}: no windows (m > n)")
             continue

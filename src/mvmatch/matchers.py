@@ -155,4 +155,3 @@ KERNELS = {
     "horspool": (search_horspool, search_horspool_instrumented),
     "naive": (search_naive, search_naive_instrumented),
 }
-ALGORITHMS = tuple(KERNELS)

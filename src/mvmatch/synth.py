@@ -12,6 +12,7 @@ within this implementation: equal configs yield equal instances.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -49,6 +50,8 @@ class GenConfig:
             raise InvalidConfig(f"sigma must be >= 1, got {self.sigma}")
         if self.m < 1:
             raise InvalidConfig(f"m must be >= 1, got {self.m}")
+        if self.k * self.n > sys.maxsize // 8:  # numpy cannot size the int64 views
+            raise InvalidConfig(f"k * n must be <= {sys.maxsize // 8}, got {self.k * self.n}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.pattern_mode not in PATTERN_MODES:

@@ -25,8 +25,6 @@ def test_invalid_configs():
         small_config(m_values=()),
         small_config(m_values=(0, 2)),
         small_config(instances_per_m=0),
-        small_config(algorithms=("kmp",)),
-        small_config(algorithms=()),
         small_config(sigma=0),
         small_config(seed=-1),
     ):
@@ -39,9 +37,8 @@ def test_every_m_validated_before_any_instance(monkeypatch):
         raise AssertionError(f"generated an instance for m={config.m}")
 
     monkeypatch.setattr(bench, "generate_instance", generate)
-    config = BenchConfig(k=2, n=50, sigma=3, m_values=(2, 60), instances_per_m=1,
-                         seed=0, pattern_mode="planted")
-    with pytest.raises(InvalidConfig, match="m=60"):
+    config = BenchConfig(k=2, n=50, sigma=3, m_values=(2, 0), instances_per_m=1, seed=0)
+    with pytest.raises(InvalidConfig, match="m must be >= 1, got 0"):
         run_benchmark(config)
 
 
@@ -69,13 +66,13 @@ def test_row_shape_and_order():
 
 
 def test_match_counts_agree_across_algorithms():
-    rows = run_benchmark(small_config(sigma=2, pattern_mode="planted"))
+    rows = run_benchmark(small_config(sigma=2))
     by_m = {}
     for r in rows:
         by_m.setdefault(r.m, []).append(r.total_matches)
     for m, counts in by_m.items():
         assert counts[0] == counts[1]
-        assert counts[0] >= 5  # planted mode: at least one match per instance
+        assert counts[0] > 0  # sigma=2: short uniform patterns do occur
 
 
 def test_counts_reproducible():
@@ -104,11 +101,6 @@ def test_wall_time_populated_when_measured():
     # timing never changes the counts
     assert [(r.total_symbol_reads, r.total_alignments, r.total_matches) for r in rows] == \
         [(r.total_symbol_reads, r.total_alignments, r.total_matches) for r in counts_only]
-
-
-def test_single_algorithm_run():
-    rows = run_benchmark(small_config(algorithms=("naive",)))
-    assert {r.algorithm for r in rows} == {"naive"}
 
 
 def test_write_csv():
@@ -143,7 +135,7 @@ def test_alignments_per_instance_trend():
     # averaged horspool alignments should trend down as m grows
     rows = run_benchmark(
         BenchConfig(k=2, n=2000, sigma=6, m_values=(2, 8, 16), instances_per_m=10,
-                    seed=3, algorithms=("horspool",), timed=False)
+                    seed=3, timed=False)
     )
-    means = [r.total_alignments / r.instances for r in rows]
+    means = [r.total_alignments / r.instances for r in rows if r.algorithm == "horspool"]
     assert means[0] > means[-1]

@@ -274,6 +274,63 @@ class TestCmdGen:
         assert code == 2
         assert capsys.readouterr().err == "mvmatch: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("missing", ["--out-text", "--out-pattern"])
+    def test_unwritable_path_writes_neither_file(self, tmp_path, capsys, missing):
+        paths = {"--out-text": tmp_path / "t.tsv", "--out-pattern": tmp_path / "p.txt"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        code = main(["gen", "--k", "2", "--n", "100", "--sigma", "3", "--m", "4", "--seed", "1",
+                     "--out-text", str(paths["--out-text"]),
+                     "--out-pattern", str(paths["--out-pattern"])])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("mvmatch: ")
+        assert not any(path.exists() for path in paths.values())
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+    def test_unwritable_pattern_keeps_existing_text(self, tmp_path, capsys):
+        text_path = tmp_path / "t.tsv"
+        text_path.write_bytes(b"earlier\n")
+        pat_path = tmp_path / "missing" / "p.txt"
+        code = main(["gen", "--k", "2", "--n", "100", "--sigma", "3", "--m", "4", "--seed", "1",
+                     "--out-text", str(text_path), "--out-pattern", str(pat_path)])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(f"No such file or directory: {str(pat_path)!r}\n")
+        assert text_path.read_bytes() == b"earlier\n"
+        assert list(tmp_path.iterdir()) == [text_path]
+
+    def test_existing_files_replaced_on_success(self, tmp_path, capsys):
+        text_path, pat_path = tmp_path / "t.tsv", tmp_path / "p.txt"
+        text_path.write_bytes(b"earlier\n")
+        pat_path.write_bytes(b"earlier\n")
+        assert main(["gen", "--k", "2", "--n", "100", "--sigma", "3", "--m", "4", "--seed", "1",
+                     "--out-text", str(text_path), "--out-pattern", str(pat_path)]) == 0
+        registry, text = parse_text_file(text_path.read_bytes())
+        assert text.n == 100
+        assert parse_pattern_string(pat_path.read_text(), registry).m == 4
+        assert sorted(tmp_path.iterdir()) == [pat_path, text_path]
+
+    def test_oversized_n_exit_2(self, tmp_path, capsys):
+        # Only values above the bound: below it numpy would try to allocate.
+        code = main(["gen", "--k", "1", "--n", "100000000000000000000", "--sigma", "2",
+                     "--m", "2", "--seed", "0",
+                     "--out-text", str(tmp_path / "t"), "--out-pattern", str(tmp_path / "p")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("mvmatch: k * n must be <= ")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestBenchParser:
+    def test_m_list_defaults_to_2_through_30(self):
+        args = cli.build_parser().parse_args(["bench", "--csv", "x"])
+        assert args.m_list == list(range(2, 31))
+
+    @pytest.mark.parametrize("flag", [["--algorithms", "naive"], ["--mode", "planted"],
+                                      ["--m-min", "2"], ["--m-max", "5"]])
+    def test_removed_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["bench", "--csv", "x"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCmdBench:
     def test_counts_only_deterministic(self, tmp_path, capsys):
@@ -290,7 +347,7 @@ class TestCmdBench:
     def test_row_count_matches_grid(self, tmp_path, capsys):
         path = str(tmp_path / "b.csv")
         code = main(["bench", "--k", "2", "--n", "200", "--sigma", "3",
-                     "--m-min", "2", "--m-max", "5", "--instances", "2",
+                     "--m-list", "2", "3", "4", "5", "--instances", "2",
                      "--seed", "0", "--csv", path, "--counts-only"])
         assert code == 0
         with open(path) as fh:
@@ -354,3 +411,10 @@ class TestCmdBench:
                      "--csv", str(tmp_path / "missing" / "b.csv"), "--counts-only"])
         assert code == 2
         assert "mvmatch:" in capsys.readouterr().err
+
+    def test_oversized_n_exit_2(self, tmp_path, capsys):
+        code = main(["bench", "--n", "100000000000000000000", "--m-list", "2", "--instances", "1",
+                     "--csv", str(tmp_path / "b.csv"), "--counts-only"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("mvmatch: k * n must be <= ")
+        assert not (tmp_path / "b.csv").exists()

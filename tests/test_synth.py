@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from scipy import stats as sstats
 
@@ -22,9 +24,15 @@ def test_invalid_configs():
         GenConfig(k=1, n=5, sigma=2, m=6, seed=0, pattern_mode="planted"),
         GenConfig(k=1, n=5, sigma=2, m=1, seed=0, pattern_mode="zipf"),
         GenConfig(k=1, n=5, sigma=2, m=1, seed=-1),
+        GenConfig(k=2, n=sys.maxsize // 8, sigma=2, m=1, seed=0),
     ):
         with pytest.raises(InvalidConfig):
             generate_instance(bad)
+
+
+def test_largest_text_passes_validation():
+    # validate only: generating it would allocate sys.maxsize bytes
+    GenConfig(k=1, n=sys.maxsize // 8, sigma=2, m=1, seed=0).validate()
 
 
 def test_one_symbol_alphabet_forces_everything():
