@@ -15,7 +15,7 @@ from .core import MatchingError
 from .formats import parse_pattern_string, parse_text_file, serialize_pattern, serialize_text
 from .matchers import (KERNELS, search_horspool, search_horspool_instrumented, search_naive,
                        search_naive_instrumented)
-from .synth import GenConfig, generate_instance
+from .synth import GenConfig, InvalidConfig, generate_instance
 
 EXIT_MATCH = 0
 EXIT_NO_MATCH = 1
@@ -95,6 +95,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if os.path.realpath(args.out_text) == os.path.realpath(args.out_pattern):
+        raise InvalidConfig(f"--out-text and --out-pattern name the same file {args.out_pattern!r}")
     config = GenConfig(k=args.k, n=args.n, sigma=args.sigma, m=args.m,
                        seed=args.seed, pattern_mode=args.mode)
     text, pattern = generate_instance(config)
@@ -164,8 +166,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, MatchingError) as exc:
-        print(f"mvmatch: {exc}", file=sys.stderr)
+    except (OSError, MatchingError, MemoryError) as exc:
+        print(f"mvmatch: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

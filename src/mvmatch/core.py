@@ -9,8 +9,7 @@ and a pattern symbol constrains only its own view at the aligned position
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 # Dense interned ids.  Symbol ids are unique across all views; view ids
 # index the view list.
@@ -55,7 +54,6 @@ class RegistryMismatch(MatchingError):
     """Text and pattern were interned against different registries."""
 
 
-@dataclass(frozen=True)
 class AlphabetRegistry:
     """Interning table for the k disjoint view alphabets.
 
@@ -63,10 +61,12 @@ class AlphabetRegistry:
     one view and one token string.
     """
 
-    view_names: tuple[str, ...]
-    token_to_symbol: dict[str, SymbolId]
-    symbol_to_view: tuple[ViewId, ...]
-    symbol_to_token: tuple[str, ...]
+    def __init__(self, view_names: tuple[str, ...], token_to_symbol: dict[str, SymbolId],
+                 symbol_to_view: tuple[ViewId, ...], symbol_to_token: tuple[str, ...]):
+        self.view_names = view_names
+        self.token_to_symbol = token_to_symbol
+        self.symbol_to_view = symbol_to_view
+        self.symbol_to_token = symbol_to_token
 
     @property
     def k(self) -> int:
@@ -118,37 +118,31 @@ def build_registry(
     )
 
 
-@dataclass(frozen=True)
 class MultiViewText:
     """k aligned symbol sequences of common length n."""
 
-    views: tuple[tuple[SymbolId, ...], ...]
-    registry: AlphabetRegistry = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.views) != self.registry.k:
-            raise ValueError(
-                f"expected {self.registry.k} views, got {len(self.views)}"
-            )
-        lengths = {len(v) for v in self.views}
+    def __init__(self, views: tuple[tuple[SymbolId, ...], ...], registry: AlphabetRegistry):
+        if len(views) != registry.k:
+            raise ValueError(f"expected {registry.k} views, got {len(views)}")
+        lengths = {len(v) for v in views}
         if len(lengths) > 1:
             raise ValueError(f"views have unequal lengths: {sorted(lengths)}")
+        self.views = views
+        self.registry = registry
 
     @property
     def n(self) -> int:
         return len(self.views[0])
 
 
-@dataclass(frozen=True)
 class Pattern:
     """A resolved pattern: symbol ids plus the registry that interned them."""
 
-    symbols: tuple[SymbolId, ...]
-    registry: AlphabetRegistry = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.symbols) == 0:
+    def __init__(self, symbols: tuple[SymbolId, ...], registry: AlphabetRegistry):
+        if len(symbols) == 0:
             raise EmptyPattern("pattern must contain at least one symbol")
+        self.symbols = symbols
+        self.registry = registry
 
     @property
     def m(self) -> int:

@@ -16,20 +16,19 @@ offsets count one each, stopping at the first mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import MultiViewText, Pattern, check_same_registry
 from .shift_table import ShiftTable, build_shift_table
 
 
-@dataclass
 class SearchStats:
     """Work counters for one search invocation."""
 
-    trace: Sequence[int] = ()  # window positions tried, in order
-    symbol_reads: int = 0
-    matches_found: int = 0
+    def __init__(self, trace: Sequence[int], symbol_reads: int, matches_found: int):
+        self.trace = trace  # window positions tried, in order
+        self.symbol_reads = symbol_reads
+        self.matches_found = matches_found
 
     @property
     def alignments(self) -> int:
@@ -63,19 +62,17 @@ def search_naive_instrumented(
 ) -> tuple[list[int], SearchStats]:
     check_same_registry(text, pattern)
     matches: list[int] = []
-    stats = SearchStats(range(text.n - pattern.m + 1))
+    trace = range(text.n - pattern.m + 1)
     rows = _pattern_rows(text, pattern)
     reads = 0
-    for i in stats.trace:
+    for i in trace:
         for q, (row, sym) in enumerate(rows):
             reads += 1
             if row[i + q] != sym:
                 break
         else:
             matches.append(i)
-    stats.symbol_reads = reads
-    stats.matches_found = len(matches)
-    return matches, stats
+    return matches, SearchStats(trace, reads, len(matches))
 
 
 def search_horspool(
@@ -121,7 +118,6 @@ def search_horspool_instrumented(
     n, m = text.n, pattern.m
     matches: list[int] = []
     trace: list[int] = []
-    stats = SearchStats(trace)
     table = build_shift_table(pattern)
     shift_of = table.shifts.get
     default = table.default_shift
@@ -145,9 +141,7 @@ def search_horspool_instrumented(
                 matches.append(j)
         j += min(shift_of(row[e], default) for row in views)
     # the k shift reads per alignment; the last-symbol view's read is shared
-    stats.symbol_reads = reads + len(views) * len(trace)
-    stats.matches_found = len(matches)
-    return matches, stats
+    return matches, SearchStats(trace, reads + len(views) * len(trace), len(matches))
 
 
 # algorithm -> (fast kernel, instrumented kernel)

@@ -9,12 +9,9 @@ which is what guarantees the search always advances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Pattern, SymbolId
 
 
-@dataclass(frozen=True)
 class ShiftTable:
     """Sparse shift map with default m for symbols not stored.
 
@@ -22,8 +19,9 @@ class ShiftTable:
     pattern touches only a handful of symbols.
     """
 
-    shifts: dict[SymbolId, int]
-    default_shift: int
+    def __init__(self, shifts: dict[SymbolId, int], default_shift: int):
+        self.shifts = shifts
+        self.default_shift = default_shift
 
 
 def build_shift_table(pattern: Pattern) -> ShiftTable:

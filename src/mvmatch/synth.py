@@ -13,9 +13,7 @@ within this implementation: equal configs yield equal instances.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .core import (
     AlphabetRegistry,
@@ -32,14 +30,15 @@ class InvalidConfig(MatchingError):
     """A generation or benchmark configuration violates its bounds."""
 
 
-@dataclass(frozen=True)
 class GenConfig:
-    k: int
-    n: int
-    sigma: int
-    m: int
-    seed: int
-    pattern_mode: str = "uniform"
+    def __init__(self, k: int, n: int, sigma: int, m: int, seed: int,
+                 pattern_mode: str = "uniform"):
+        self.k = k
+        self.n = n
+        self.sigma = sigma
+        self.m = m
+        self.seed = seed
+        self.pattern_mode = pattern_mode
 
     def validate(self) -> None:
         if self.k < 1:
@@ -78,7 +77,7 @@ def generate_instance(config: GenConfig) -> tuple[MultiViewText, Pattern]:
 
 def generate_instance_with_start(
     config: GenConfig,
-) -> tuple[MultiViewText, Pattern, Optional[int]]:
+) -> tuple[MultiViewText, Pattern, int | None]:
     """Like generate_instance, also returning the planted window position
     (None in uniform mode)."""
     import numpy as np  # here, not at module top: `mvmatch search` never needs it
@@ -92,7 +91,7 @@ def generate_instance_with_start(
     offsets = np.arange(k, dtype=raw.dtype)[:, None] * sigma
     views = tuple(tuple(row) for row in (raw + offsets).tolist())
 
-    planted: Optional[int] = None
+    planted: int | None = None
     if config.pattern_mode == "uniform":
         symbols = tuple(rng.integers(0, k * sigma, size=m).tolist())
     else:

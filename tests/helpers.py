@@ -106,6 +106,48 @@ def shift_oracle(pattern: Pattern, symbol: int) -> int:
     return min(candidates)
 
 
+def naive_symbol_reads(text: MultiViewText, pattern: Pattern) -> int:
+    """Reads a naive scan makes: per window, pattern offsets left to right
+    up to and including the first mismatch (all m on a match)."""
+    view_of = text.registry.symbol_to_view
+    m = pattern.m
+    reads = 0
+    for i in range(text.n - m + 1):
+        q = 0
+        while q < m - 1 and text.views[view_of[pattern.symbols[q]]][i + q] == pattern.symbols[q]:
+            q += 1
+        reads += q + 1
+    return reads
+
+
+def multiview_horspool_trace(text: MultiViewText, pattern: Pattern) -> tuple[list[int], int]:
+    """Windows a multi-view Horspool scan tries, and its verification reads.
+
+    The last pattern symbol is compared first; on a hit, offsets 0..m-2 are
+    read left to right up to and including the first mismatch.  The window
+    then moves by the smallest shift_oracle over the k symbols at its end.
+    """
+    n, m = text.n, pattern.m
+    view_of = text.registry.symbol_to_view
+
+    def holds(j: int, q: int) -> bool:
+        sym = pattern.symbols[q]
+        return text.views[view_of[sym]][j + q] == sym
+
+    trace: list[int] = []
+    verify_reads = 0
+    j = 0
+    while j + m <= n:
+        trace.append(j)
+        if holds(j, m - 1):
+            for q in range(m - 1):
+                verify_reads += 1
+                if not holds(j, q):
+                    break
+        j += min(shift_oracle(pattern, view[j + m - 1]) for view in text.views)
+    return trace, verify_reads
+
+
 def classic_horspool(text: Sequence, pattern: Sequence) -> list[int]:
     """Textbook single-view Horspool on plain sequences.
 

@@ -27,6 +27,10 @@ BABB_FILE = b"word\ttag\n" + b"".join(
     f"{w}\t{t}\n".encode() for w, t in zip("cabbaabc", "BABABACB")
 )
 
+# MemoryError messages and what `main` prints after "mvmatch: "
+OUT_OF_MEMORY = [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+                 ("", "out of memory")]
+
 
 def write_babb(tmp_path):
     path = tmp_path / "text.tsv"
@@ -151,6 +155,21 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("flags, modules", [
+    ([], {"dataclasses", "inspect"}),
+    # `-S`: without it, some installs' site-packages hooks import `typing` themselves
+    (["-S"], {"dataclasses", "inspect", "typing"}),
+])
+def test_cli_import_leaves_dataclasses_unloaded(flags, modules):
+    env = dict(os.environ, PYTHONPATH=str(Path(mvmatch.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", "import sys, mvmatch.cli; "
+         f"print(sorted({modules!r} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_package_exports_what_perfbench_uses():
     # perfbench drives the library through `import mvmatch` alone
     for name in ("GenConfig", "generate_instance", "parse_text_file", "parse_pattern_string",
@@ -204,6 +223,14 @@ class TestCmdSearch:
                      "--pattern", "B A b B", "--count"])
         assert code == 0
         assert capsys.readouterr().out == "1\n"
+
+    def test_naive_stats(self, tmp_path, capsys):
+        code = main(["search", "--text", write_babb(tmp_path), "--pattern", "B A b B",
+                     "--algorithm", "naive", "--stats"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == "4\n"
+        assert captured.err == "alignments=5 symbol_reads=13 matches=1\n"
 
     def test_no_break_space_token(self, tmp_path, capsys):
         path = tmp_path / "t.tsv"
@@ -317,6 +344,29 @@ class TestCmdGen:
         assert capsys.readouterr().err.startswith("mvmatch: k * n must be <= ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("pattern_path", ["x", "./x"])
+    def test_same_output_path_exit_2(self, tmp_path, capsys, monkeypatch, pattern_path):
+        monkeypatch.chdir(tmp_path)
+        code = main(["gen", "--k", "2", "--n", "100", "--sigma", "3", "--m", "4", "--seed", "1",
+                     "--out-text", "x", "--out-pattern", pattern_path])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"mvmatch: --out-text and --out-pattern name the same file {pattern_path!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("message, expected", OUT_OF_MEMORY)
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, message, expected):
+        def generate(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_instance", generate)
+        code = main(["gen", "--k", "1", "--n", "1000000000000", "--sigma", "2", "--m", "1",
+                     "--seed", "0",
+                     "--out-text", str(tmp_path / "t"), "--out-pattern", str(tmp_path / "p")])
+        assert code == 2
+        assert capsys.readouterr().err == f"mvmatch: {expected}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBenchParser:
     def test_m_list_defaults_to_2_through_30(self):
@@ -418,3 +468,14 @@ class TestCmdBench:
         assert code == 2
         assert capsys.readouterr().err.startswith("mvmatch: k * n must be <= ")
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("message, expected", OUT_OF_MEMORY)
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, message, expected):
+        def generate(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(bench, "generate_instance", generate)
+        code = main(["bench", "--k", "1", "--n", "1000000000000", "--sigma", "2", "--m-list", "1",
+                     "--instances", "1", "--csv", str(tmp_path / "b.csv"), "--counts-only"])
+        assert code == 2
+        assert capsys.readouterr().err == f"mvmatch: {expected}\n"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmatch import (
     RegistryMismatch,
@@ -19,6 +21,8 @@ from helpers import (
     classic_horspool,
     classic_horspool_trace,
     make_text,
+    multiview_horspool_trace,
+    naive_symbol_reads,
     oracle_scan,
     random_instance,
 )
@@ -143,6 +147,40 @@ def test_random_equivalence_small():
         expected = oracle_scan(text, pattern)
         assert search_naive(text, pattern) == expected
         assert search_horspool(text, pattern) == expected
+
+
+@st.composite
+def small_instances(draw):
+    """Instances from the independent generator: k in [1, 5], sigma in
+    [1, 4], n in [1, 40], m in [1, n + 2]; planted only when m <= n."""
+    k = draw(st.integers(1, 5))
+    sigma = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n + 2))
+    mode = draw(st.sampled_from(["uniform", "planted"])) if m <= n else "uniform"
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    text, pattern, _ = random_instance(rng, k, n, sigma, m, mode)
+    return text, pattern
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_instances())
+def test_kernels_and_counts_match_oracles(instance):
+    text, pattern = instance
+    expected = oracle_scan(text, pattern)
+    assert search_naive(text, pattern) == expected
+    assert search_horspool(text, pattern) == expected
+
+    matches, stats = search_naive_instrumented(text, pattern)
+    assert matches == expected and stats.matches_found == len(expected)
+    assert list(stats.trace) == list(range(text.n - pattern.m + 1))
+    assert stats.symbol_reads == naive_symbol_reads(text, pattern)
+
+    matches, stats = search_horspool_instrumented(text, pattern)
+    trace, verify_reads = multiview_horspool_trace(text, pattern)
+    assert matches == expected and stats.matches_found == len(expected)
+    assert list(stats.trace) == trace and stats.alignments == len(trace)
+    assert stats.symbol_reads == text.registry.k * len(trace) + verify_reads
 
 
 def test_results_sorted_unique():
