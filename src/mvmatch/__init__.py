@@ -14,9 +14,10 @@ from .core import (
     occurs_at,
     resolve_pattern,
 )
-from .shift_table import ShiftTable, build_shift_table
 from .matchers import (
     SearchStats,
+    ShiftTable,
+    build_shift_table,
     search_horspool,
     search_horspool_instrumented,
     search_naive,

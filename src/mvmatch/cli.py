@@ -8,13 +8,14 @@ by default; --base 1 shifts them for comparison against 1-based diagrams.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 
 from .core import MatchingError
 from .formats import parse_pattern_string, parse_text_file, serialize_pattern, serialize_text
-from .matchers import (KERNELS, search_horspool, search_horspool_instrumented, search_naive,
-                       search_naive_instrumented)
+from .matchers import KERNELS, search_horspool
 from .synth import GenConfig, InvalidConfig, generate_instance
 
 EXIT_MATCH = 0
@@ -73,17 +74,16 @@ def cmd_search(args) -> int:
         registry, text = parse_text_file(fh.read())
     pattern = parse_pattern_string(args.pattern, registry)
 
+    fast, instrumented = KERNELS[args.algorithm]
     if args.stats:
-        run = search_horspool_instrumented if args.algorithm == "horspool" \
-            else search_naive_instrumented
-        matches, stats = run(text, pattern)
+        matches, stats = instrumented(text, pattern)
         print(
             f"alignments={stats.alignments} symbol_reads={stats.symbol_reads}"
             f" matches={stats.matches_found}",
             file=sys.stderr,
         )
     else:
-        run = search_horspool if args.algorithm == "horspool" else search_naive
+        run = search_horspool if args.algorithm == "horspool" else fast
         matches = run(text, pattern)
 
     if args.count:
@@ -97,33 +97,13 @@ def cmd_search(args) -> int:
 def cmd_gen(args) -> int:
     if os.path.realpath(args.out_text) == os.path.realpath(args.out_pattern):
         raise InvalidConfig(f"--out-text and --out-pattern name the same file {args.out_pattern!r}")
-    config = GenConfig(k=args.k, n=args.n, sigma=args.sigma, m=args.m,
-                       seed=args.seed, pattern_mode=args.mode)
-    text, pattern = generate_instance(config)
-    _write_all({args.out_text: serialize_text(text), args.out_pattern: serialize_pattern(pattern)})
+    with _all_or_nothing(args.out_text, args.out_pattern) as (text_fh, pattern_fh):
+        config = GenConfig(k=args.k, n=args.n, sigma=args.sigma, m=args.m,
+                           seed=args.seed, pattern_mode=args.mode)
+        text, pattern = generate_instance(config)
+        text_fh.write(serialize_text(text))
+        pattern_fh.write(serialize_pattern(pattern))
     return 0
-
-
-def _write_all(blobs: dict[str, bytes]) -> None:
-    """Write every file or none: each goes first to a temporary file beside
-    its target, and the targets are replaced only once all are written."""
-    temps: list[tuple[str, str]] = []
-    try:
-        for path, data in blobs.items():
-            tmp = f"{path}.{os.getpid()}.tmp"
-            try:
-                fh = open(tmp, "wb")
-            except OSError as exc:  # name the target, not the temporary file
-                raise OSError(exc.errno, exc.strerror, path) from None
-            temps.append((tmp, path))
-            with fh:
-                fh.write(data)
-        for tmp, path in temps:
-            os.replace(tmp, path)
-    finally:
-        for tmp, _ in temps:
-            if os.path.exists(tmp):
-                os.remove(tmp)
 
 
 def cmd_bench(args) -> int:
@@ -139,12 +119,11 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         timed=not args.counts_only,
     )
-    # A bad config leaves an existing file alone; a bad path fails before
-    # the run rather than after it.
-    config.validate()
-    with open(args.csv, "w", newline="") as fh:
+    with _all_or_nothing(args.csv) as (fh,):
         rows = run_benchmark(config)
-        write_csv(rows, fh)
+        out = io.StringIO()
+        write_csv(rows, out)
+        fh.write(out.getvalue().encode())
 
     row_of = {(row.m, row.algorithm): row for row in rows}
     for m in sorted(set(config.m_values)):
@@ -160,6 +139,34 @@ def cmd_bench(args) -> int:
             line += f", time ratio = {nv.total_time / hs.total_time:.3f}"
         print(line)
     return 0
+
+
+@contextlib.contextmanager
+def _all_or_nothing(*paths: str):
+    """Write every file or none: yields binary handles on temporary files
+    beside the targets, opened before the block runs, and replaces the
+    targets only once the block completes.  On any exception, KeyboardInterrupt
+    included, the temporary files go and every target is left as it was."""
+    temps: list[tuple[str, str]] = []
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path in paths:
+                if os.path.isdir(path):  # else os.replace would refuse it only after the work
+                    raise IsADirectoryError(f"Is a directory: {path!r}")
+                tmp = f"{path}.{os.getpid()}.tmp"
+                try:
+                    handles.append(stack.enter_context(open(tmp, "wb")))
+                except OSError as exc:  # name the target, not the temporary file
+                    raise OSError(exc.errno, exc.strerror, path) from None
+                temps.append((tmp, path))
+            yield handles
+        for tmp, path in temps:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def main(argv=None) -> int:

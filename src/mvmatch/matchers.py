@@ -1,5 +1,6 @@
-"""Search algorithms: multi-view Horspool and the naive baseline, each as a
-fast kernel and an instrumented kernel.
+"""Search algorithms: multi-view Horspool, with its bad-character shift
+table, and the naive baseline, each as a fast kernel and an instrumented
+kernel.
 
 All searchers return every overlapping occurrence as a sorted list of
 0-based window positions.  The instrumented kernels additionally return
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .core import MultiViewText, Pattern, check_same_registry
-from .shift_table import ShiftTable, build_shift_table
+from .core import MultiViewText, Pattern, SymbolId, check_same_registry
 
 
 class SearchStats:
@@ -33,6 +33,32 @@ class SearchStats:
     @property
     def alignments(self) -> int:
         return len(self.trace)
+
+
+class ShiftTable:
+    """Bad-character shifts: a sparse map with default m for symbols not stored.
+
+    Kept sparse because token alphabets can be vocabulary-sized while the
+    pattern touches only a handful of symbols.
+    """
+
+    def __init__(self, shifts: dict[SymbolId, int], default_shift: int):
+        self.shifts = shifts
+        self.default_shift = default_shift
+
+
+def build_shift_table(pattern: Pattern) -> ShiftTable:
+    """A symbol's shift is the distance from the last pattern position to its
+    latest occurrence strictly before it; a symbol occurring only there, or
+    absent, shifts by m.  All shifts are thus in [1, m], so the search always
+    advances.  One left-to-right pass over p[0..m-2]: later occurrences
+    overwrite earlier ones, which realizes the minimum-offset rule."""
+    m = pattern.m
+    shifts: dict[SymbolId, int] = {}
+    symbols = pattern.symbols
+    for q in range(m - 1):
+        shifts[symbols[q]] = m - 1 - q
+    return ShiftTable(shifts=shifts, default_shift=m)
 
 
 def _pattern_rows(text: MultiViewText, pattern: Pattern):

@@ -18,7 +18,7 @@ from mvmatch import (
     serialize_pattern,
     serialize_text,
 )
-from mvmatch import bench, cli
+from mvmatch import bench, cli, matchers
 from mvmatch.cli import main
 
 from helpers import char_pattern, char_registry, char_text
@@ -251,6 +251,28 @@ class TestCmdSearch:
         assert sorted(calls) == ["parse_pattern_string", "parse_text_file", "search_horspool"]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, expected_err", [
+        ([], ""), (["--stats"], "alignments=0 symbol_reads=0 matches=1\n")], ids=["fast", "stats"])
+    def test_algorithm_dispatches_through_kernels(self, tmp_path, capsys, monkeypatch,
+                                                  flags, expected_err):
+        calls = []
+
+        def fast(text, pattern):
+            calls.append("fast")
+            return [1]
+
+        def instrumented(text, pattern):
+            calls.append("instrumented")
+            return [1], matchers.SearchStats([], 0, 1)
+
+        monkeypatch.setitem(matchers.KERNELS, "fake", (fast, instrumented))
+        code = main(["search", "--text", write_babb(tmp_path), "--pattern", "B A b B",
+                     "--algorithm", "fake", *flags])
+        assert code == 0
+        assert calls == (["instrumented"] if flags else ["fast"])
+        captured = capsys.readouterr()
+        assert captured.out == "1\n" and captured.err == expected_err
+
     def test_stats_to_stderr(self, tmp_path, capsys):
         code = main(["search", "--text", write_babb(tmp_path),
                      "--pattern", "B A b B", "--stats"])
@@ -323,6 +345,21 @@ class TestCmdGen:
         assert capsys.readouterr().err.endswith(f"No such file or directory: {str(pat_path)!r}\n")
         assert text_path.read_bytes() == b"earlier\n"
         assert list(tmp_path.iterdir()) == [text_path]
+
+    @pytest.mark.parametrize("directory", ["--out-text", "--out-pattern"])
+    def test_directory_target_keeps_the_other_file(self, tmp_path, capsys, directory):
+        paths = {"--out-text": tmp_path / "t.tsv", "--out-pattern": tmp_path / "p.txt"}
+        paths[directory].mkdir()
+        other = paths["--out-pattern" if directory == "--out-text" else "--out-text"]
+        other.write_bytes(b"earlier\n")
+        code = main(["gen", "--k", "2", "--n", "100", "--sigma", "3", "--m", "4", "--seed", "1",
+                     "--out-text", str(paths["--out-text"]),
+                     "--out-pattern", str(paths["--out-pattern"])])
+        assert code == 2
+        assert capsys.readouterr().err == f"mvmatch: Is a directory: {str(paths[directory])!r}\n"
+        assert other.read_bytes() == b"earlier\n"
+        assert list(paths[directory].iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == sorted(paths.values())  # no temporary file left
 
     def test_existing_files_replaced_on_success(self, tmp_path, capsys):
         text_path, pat_path = tmp_path / "t.tsv", tmp_path / "p.txt"
@@ -443,7 +480,7 @@ class TestCmdBench:
                      "--csv", str(path), "--counts-only"])
         assert code == 2
         assert capsys.readouterr().err
-        assert path.read_text() == "earlier run\n"  # validated before the file is opened
+        assert path.read_text() == "earlier run\n"  # a failed run leaves the file as it was
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         code = main(["bench", "--n", "100", "--m-list", "4", "--instances", "1",
@@ -479,3 +516,40 @@ class TestCmdBench:
                      "--instances", "1", "--csv", str(tmp_path / "b.csv"), "--counts-only"])
         assert code == 2
         assert capsys.readouterr().err == f"mvmatch: {expected}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_keeps_existing_csv(self, tmp_path, capsys, monkeypatch):
+        def generate(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "generate_instance", generate)
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"earlier run\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["bench", "--n", "100", "--m-list", "4", "--instances", "1",
+                  "--csv", str(path), "--counts-only"])
+        assert path.read_bytes() == b"earlier run\n"
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+
+    def test_directory_csv_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def generate(config):
+            raise AssertionError(f"generated an instance for m={config.m}")
+
+        monkeypatch.setattr(bench, "generate_instance", generate)
+        code = main(["bench", "--n", "100", "--m-list", "2", "--instances", "1",
+                     "--csv", str(tmp_path), "--counts-only"])
+        assert code == 2
+        assert "mvmatch:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlinked_csv_is_replaced_not_written_through(self, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"earlier run\n")
+        link = tmp_path / "b.csv"
+        link.symlink_to(target)
+        code = main(["bench", "--k", "1", "--n", "100", "--sigma", "2", "--m-list", "4",
+                     "--instances", "1", "--csv", str(link), "--counts-only"])
+        assert code == 0
+        assert not link.is_symlink() and link.read_text().startswith("m,algorithm,")
+        assert target.read_bytes() == b"earlier run\n"
+        capsys.readouterr()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mvmatch import (
     RegistryMismatch,
     build_registry,
+    build_shift_table,
     resolve_pattern,
     search_horspool,
     search_horspool_instrumented,
@@ -170,6 +171,7 @@ def test_kernels_and_counts_match_oracles(instance):
     expected = oracle_scan(text, pattern)
     assert search_naive(text, pattern) == expected
     assert search_horspool(text, pattern) == expected
+    assert search_horspool(text, pattern, build_shift_table(pattern)) == expected
 
     matches, stats = search_naive_instrumented(text, pattern)
     assert matches == expected and stats.matches_found == len(expected)
