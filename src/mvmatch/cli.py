@@ -145,21 +145,23 @@ def cmd_bench(args) -> int:
 def _all_or_nothing(*paths: str):
     """Write every file or none: yields binary handles on temporary files
     beside the targets, opened before the block runs, and replaces the
-    targets only once the block completes.  On any exception, KeyboardInterrupt
-    included, the temporary files go and every target is left as it was."""
+    targets once it completes; on any exception, Ctrl-C included, it removes
+    the temporaries and leaves every target as it was.  A symlink is followed.
+    A directory, device or FIFO is refused up front, not left to os.replace."""
     temps: list[tuple[str, str]] = []
     try:
         with contextlib.ExitStack() as stack:
             handles = []
             for path in paths:
-                if os.path.isdir(path):  # else os.replace would refuse it only after the work
-                    raise IsADirectoryError(f"Is a directory: {path!r}")
-                tmp = f"{path}.{os.getpid()}.tmp"
-                try:
-                    handles.append(stack.enter_context(open(tmp, "wb")))
+                if os.path.exists(path) and not os.path.isfile(path):
+                    raise OSError(f"Not a regular file: {path!r}")
+                real = os.path.realpath(path)
+                tmp = f"{real}.{os.getpid()}.tmp"
+                try:  # "x": never truncate, and so never remove, a file of that name
+                    handles.append(stack.enter_context(open(tmp, "xb")))
                 except OSError as exc:  # name the target, not the temporary file
                     raise OSError(exc.errno, exc.strerror, path) from None
-                temps.append((tmp, path))
+                temps.append((tmp, real))
             yield handles
         for tmp, path in temps:
             os.replace(tmp, path)

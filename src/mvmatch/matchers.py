@@ -1,6 +1,5 @@
 """Search algorithms: multi-view Horspool, with its bad-character shift
-table, and the naive baseline, each as a fast kernel and an instrumented
-kernel.
+table, and the naive baseline, each as a fast and an instrumented kernel.
 
 All searchers return every overlapping occurrence as a sorted list of
 0-based window positions.  The instrumented kernels additionally return

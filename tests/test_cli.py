@@ -356,7 +356,8 @@ class TestCmdGen:
                      "--out-text", str(paths["--out-text"]),
                      "--out-pattern", str(paths["--out-pattern"])])
         assert code == 2
-        assert capsys.readouterr().err == f"mvmatch: Is a directory: {str(paths[directory])!r}\n"
+        assert capsys.readouterr().err == \
+            f"mvmatch: Not a regular file: {str(paths[directory])!r}\n"
         assert other.read_bytes() == b"earlier\n"
         assert list(paths[directory].iterdir()) == []
         assert sorted(tmp_path.iterdir()) == sorted(paths.values())  # no temporary file left
@@ -531,18 +532,30 @@ class TestCmdBench:
         assert path.read_bytes() == b"earlier run\n"
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
-    def test_directory_csv_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "symlink to fifo"])
+    def test_non_regular_csv_fails_before_the_run(self, tmp_path, capsys, monkeypatch, kind):
+        # a device or FIFO, such as /dev/null, must never be replaced by a regular file
         def generate(config):
             raise AssertionError(f"generated an instance for m={config.m}")
 
         monkeypatch.setattr(bench, "generate_instance", generate)
+        target = tmp_path / "target"
+        if kind == "directory":
+            target.mkdir()
+        else:
+            os.mkfifo(target)
+        path = tmp_path / "b.csv" if kind == "symlink to fifo" else target
+        if path != target:
+            path.symlink_to(target)
+        before = sorted((p, os.lstat(p).st_mode) for p in tmp_path.iterdir())
         code = main(["bench", "--n", "100", "--m-list", "2", "--instances", "1",
-                     "--csv", str(tmp_path), "--counts-only"])
+                     "--csv", str(path), "--counts-only"])
         assert code == 2
-        assert "mvmatch:" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == f"mvmatch: Not a regular file: {str(path)!r}\n"
+        # every path kept its type, and no temporary file is left
+        assert sorted((p, os.lstat(p).st_mode) for p in tmp_path.iterdir()) == before
 
-    def test_symlinked_csv_is_replaced_not_written_through(self, tmp_path, capsys):
+    def test_symlinked_csv_is_written_through(self, tmp_path, capsys):
         target = tmp_path / "target.csv"
         target.write_bytes(b"earlier run\n")
         link = tmp_path / "b.csv"
@@ -550,6 +563,17 @@ class TestCmdBench:
         code = main(["bench", "--k", "1", "--n", "100", "--sigma", "2", "--m-list", "4",
                      "--instances", "1", "--csv", str(link), "--counts-only"])
         assert code == 0
-        assert not link.is_symlink() and link.read_text().startswith("m,algorithm,")
-        assert target.read_bytes() == b"earlier run\n"
+        assert link.is_symlink() and target.read_text().startswith("m,algorithm,")
+        assert sorted(tmp_path.iterdir()) == [link, target]  # no temporary file left
         capsys.readouterr()
+
+    def test_file_with_the_temporary_name_is_kept(self, tmp_path, capsys):
+        path = tmp_path / "b.csv"
+        tmp = tmp_path / f"b.csv.{os.getpid()}.tmp"
+        tmp.write_bytes(b"not ours\n")
+        code = main(["bench", "--k", "1", "--n", "100", "--sigma", "2", "--m-list", "4",
+                     "--instances", "1", "--csv", str(path), "--counts-only"])
+        assert code == 2
+        assert capsys.readouterr().err == f"mvmatch: [Errno 17] File exists: {str(path)!r}\n"
+        assert tmp.read_bytes() == b"not ours\n"
+        assert list(tmp_path.iterdir()) == [tmp]
