@@ -31,7 +31,7 @@ class BenchConfig:
     seed: int
     timed: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.m_values:
             raise InvalidConfig("m_values must be non-empty")
         if self.instances_per_m < 1:
@@ -41,7 +41,7 @@ class BenchConfig:
         # Uniform patterns bound m only below, so one GenConfig at the
         # smallest m checks every instance before any is generated.
         GenConfig(k=self.k, n=self.n, sigma=self.sigma, m=min(self.m_values),
-                  seed=self.seed).validate()
+                  seed=self.seed)
 
 
 def instance_seed(base_seed: int, m: int, index: int) -> int:
@@ -66,8 +66,6 @@ class BenchRow:
 def run_benchmark(config: BenchConfig) -> list[BenchRow]:
     """One row per (m, algorithm), m ascending then algorithm name; each
     distinct m runs once."""
-    config.validate()
-
     rows: list[BenchRow] = []
     for m in sorted(set(config.m_values)):
         per_alg = [BenchRow(m=m, algorithm=a) for a in sorted(KERNELS)]

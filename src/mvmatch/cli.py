@@ -1,8 +1,10 @@
 """Command-line entry points: search, gen, bench.
 
 Exit codes follow the grep convention for `search` (0 at least one match,
-1 no match, 2 error); `gen` and `bench` use 0/2.  Positions print 0-based
-by default; --base 1 shifts them for comparison against 1-based diagrams.
+1 no match, 2 error); `gen` and `bench` use 0/2.  A reader that closes stdout
+early, as `| head` does, gives status 141 and nothing on stderr.  Positions
+print 0-based by default; --base 1 shifts them for comparison against 1-based
+diagrams.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from .core import MatchingError
 from .formats import parse_pattern_string, parse_text_file, serialize_pattern, serialize_text
 from .matchers import KERNELS, search_horspool
-from .synth import GenConfig, InvalidConfig, generate_instance
+from .synth import PATTERN_MODES, GenConfig, InvalidConfig, generate_instance
 
 EXIT_MATCH = 0
 EXIT_NO_MATCH = 1
@@ -47,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=["uniform", "planted"], default="uniform")
+    p.add_argument("--mode", choices=PATTERN_MODES, default="uniform")
     p.add_argument("--out-text", required=True)
     p.add_argument("--out-pattern", required=True)
     p.set_defaults(func=cmd_gen)
@@ -110,16 +112,16 @@ def cmd_bench(args) -> int:
     # here, not at module top: `mvmatch search` never needs the harness
     from .bench import BenchConfig, run_benchmark, write_csv
 
-    config = BenchConfig(
-        k=args.k,
-        n=args.n,
-        sigma=args.sigma,
-        m_values=tuple(args.m_list),
-        instances_per_m=args.instances,
-        seed=args.seed,
-        timed=not args.counts_only,
-    )
     with _all_or_nothing(args.csv) as (fh,):
+        config = BenchConfig(
+            k=args.k,
+            n=args.n,
+            sigma=args.sigma,
+            m_values=tuple(args.m_list),
+            instances_per_m=args.instances,
+            seed=args.seed,
+            timed=not args.counts_only,
+        )
         rows = run_benchmark(config)
         out = io.StringIO()
         write_csv(rows, out)
@@ -175,6 +177,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does: not an error
+        return 141  # 128 + SIGPIPE, what a shell shows for `grep` in the same pipe
     except (OSError, MatchingError, MemoryError) as exc:
         print(f"mvmatch: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR

@@ -175,11 +175,3 @@ def occurs_at(text: MultiViewText, pattern: Pattern, i: int) -> bool:
         if views[view_of[sym]][i + j] != sym:
             return False
     return True
-
-
-def check_same_registry(text: MultiViewText, pattern: Pattern) -> None:
-    # Identity check: symbol ids from another registry are meaningless here.
-    if text.registry is not pattern.registry:
-        raise RegistryMismatch(
-            "text and pattern were built against different registries"
-        )

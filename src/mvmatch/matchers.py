@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .core import MultiViewText, Pattern, SymbolId, check_same_registry
+from .core import MultiViewText, Pattern, RegistryMismatch, SymbolId
 
 
 class SearchStats:
@@ -62,14 +62,28 @@ def build_shift_table(pattern: Pattern) -> ShiftTable:
 
 def _pattern_rows(text: MultiViewText, pattern: Pattern):
     """Per-offset (view sequence, expected symbol) pairs."""
+    # Identity check: symbol ids from another registry are meaningless here.
+    if text.registry is not pattern.registry:
+        raise RegistryMismatch(
+            "text and pattern were built against different registries"
+        )
     view_of = text.registry.symbol_to_view
     views = text.views
     return [(views[view_of[s]], s) for s in pattern.symbols]
 
 
+def _horspool_setup(text: MultiViewText, pattern: Pattern, table: ShiftTable | None):
+    """The shift lookup and its default, the last offset's (row, symbol), the
+    prefix rows, the views the shift reads and the last window start (< 0 if m > n)."""
+    rows = _pattern_rows(text, pattern)
+    if table is None:
+        table = build_shift_table(pattern)
+    return (table.shifts.get, table.default_shift, rows[-1], rows[:-1], text.views,
+            text.n - pattern.m)
+
+
 def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
     """Try every window, comparing offsets left to right until mismatch."""
-    check_same_registry(text, pattern)
     matches: list[int] = []
     rows = _pattern_rows(text, pattern)
     # empty when m > n
@@ -85,7 +99,6 @@ def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
 def search_naive_instrumented(
     text: MultiViewText, pattern: Pattern
 ) -> tuple[list[int], SearchStats]:
-    check_same_registry(text, pattern)
     matches: list[int] = []
     trace = range(text.n - pattern.m + 1)
     rows = _pattern_rows(text, pattern)
@@ -110,18 +123,10 @@ def search_horspool(
     A prebuilt shift table may be passed to reuse pre-processing across
     texts.
     """
-    check_same_registry(text, pattern)
-    n, m = text.n, pattern.m
+    shift_of, default, (last_row, last_sym), prefix, views, limit = \
+        _horspool_setup(text, pattern, table)
+    m = pattern.m
     matches: list[int] = []
-    if table is None:
-        table = build_shift_table(pattern)
-    shift_of = table.shifts.get
-    default = table.default_shift
-    rows = _pattern_rows(text, pattern)
-    last_row, last_sym = rows[-1]
-    prefix = rows[:-1]
-    views = text.views
-    limit = n - m  # negative when m > n: no window
     j = 0
     while j <= limit:
         e = j + m - 1
@@ -139,19 +144,12 @@ def search_horspool_instrumented(
     text: MultiViewText, pattern: Pattern
 ) -> tuple[list[int], SearchStats]:
     """search_horspool that also records the alignment trace and the reads."""
-    check_same_registry(text, pattern)
-    n, m = text.n, pattern.m
+    shift_of, default, (last_row, last_sym), prefix, views, limit = \
+        _horspool_setup(text, pattern, None)
+    m = pattern.m
     matches: list[int] = []
     trace: list[int] = []
-    table = build_shift_table(pattern)
-    shift_of = table.shifts.get
-    default = table.default_shift
-    rows = _pattern_rows(text, pattern)
-    last_row, last_sym = rows[-1]
-    prefix = rows[:-1]
-    views = text.views
     visit = trace.append
-    limit = n - m
     reads = 0
     j = 0
     while j <= limit:

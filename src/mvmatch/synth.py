@@ -27,38 +27,34 @@ PATTERN_MODES = ("uniform", "planted")
 
 
 class InvalidConfig(MatchingError):
-    """A generation or benchmark configuration violates its bounds."""
+    """Raised when a GenConfig or BenchConfig is built outside its bounds."""
 
 
 class GenConfig:
     def __init__(self, k: int, n: int, sigma: int, m: int, seed: int,
                  pattern_mode: str = "uniform"):
+        if k < 1:
+            raise InvalidConfig(f"k must be >= 1, got {k}")
+        if n < 1:
+            raise InvalidConfig(f"n must be >= 1, got {n}")
+        if sigma < 1:
+            raise InvalidConfig(f"sigma must be >= 1, got {sigma}")
+        if m < 1:
+            raise InvalidConfig(f"m must be >= 1, got {m}")
+        if k * n > sys.maxsize // 8:  # numpy cannot size the int64 views
+            raise InvalidConfig(f"k * n must be <= {sys.maxsize // 8}, got {k * n}")
+        if seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {seed}")
+        if pattern_mode not in PATTERN_MODES:
+            raise InvalidConfig(f"unknown pattern_mode {pattern_mode!r}")
+        if pattern_mode == "planted" and m > n:
+            raise InvalidConfig(f"planted mode requires m <= n, got m={m}, n={n}")
         self.k = k
         self.n = n
         self.sigma = sigma
         self.m = m
         self.seed = seed
         self.pattern_mode = pattern_mode
-
-    def validate(self) -> None:
-        if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
-        if self.n < 1:
-            raise InvalidConfig(f"n must be >= 1, got {self.n}")
-        if self.sigma < 1:
-            raise InvalidConfig(f"sigma must be >= 1, got {self.sigma}")
-        if self.m < 1:
-            raise InvalidConfig(f"m must be >= 1, got {self.m}")
-        if self.k * self.n > sys.maxsize // 8:  # numpy cannot size the int64 views
-            raise InvalidConfig(f"k * n must be <= {sys.maxsize // 8}, got {self.k * self.n}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if self.pattern_mode not in PATTERN_MODES:
-            raise InvalidConfig(f"unknown pattern_mode {self.pattern_mode!r}")
-        if self.pattern_mode == "planted" and self.m > self.n:
-            raise InvalidConfig(
-                f"planted mode requires m <= n, got m={self.m}, n={self.n}"
-            )
 
 
 @lru_cache(maxsize=64)
@@ -82,7 +78,6 @@ def generate_instance_with_start(
     (None in uniform mode)."""
     import numpy as np  # here, not at module top: `mvmatch search` never needs it
 
-    config.validate()
     k, n, sigma, m = config.k, config.n, config.sigma, config.m
     registry = synthetic_registry(k, sigma)
     rng = np.random.default_rng(config.seed)

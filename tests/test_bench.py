@@ -22,14 +22,14 @@ def small_config(**overrides):
 
 def test_invalid_configs():
     for bad in (
-        small_config(m_values=()),
-        small_config(m_values=(0, 2)),
-        small_config(instances_per_m=0),
-        small_config(sigma=0),
-        small_config(seed=-1),
+        dict(m_values=()),
+        dict(m_values=(0, 2)),
+        dict(instances_per_m=0),
+        dict(sigma=0),
+        dict(seed=-1),
     ):
         with pytest.raises(InvalidConfig):
-            run_benchmark(bad)
+            small_config(**bad)
 
 
 def test_every_m_validated_before_any_instance(monkeypatch):
@@ -37,9 +37,9 @@ def test_every_m_validated_before_any_instance(monkeypatch):
         raise AssertionError(f"generated an instance for m={config.m}")
 
     monkeypatch.setattr(bench, "generate_instance", generate)
-    config = BenchConfig(k=2, n=50, sigma=3, m_values=(2, 0), instances_per_m=1, seed=0)
     with pytest.raises(InvalidConfig, match="m must be >= 1, got 0"):
-        run_benchmark(config)
+        run_benchmark(BenchConfig(k=2, n=50, sigma=3, m_values=(2, 0), instances_per_m=1,
+                                  seed=0))
 
 
 def test_repeated_m_runs_once():

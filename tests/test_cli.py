@@ -281,6 +281,26 @@ class TestCmdSearch:
         assert captured.out == "4\n"
         assert "alignments=3" in captured.err
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, unbuffered):
+        # k=1, sigma=1: every one of the 100 000 windows matches, far more
+        # output than a pipe buffers, so the reader closes it mid-search
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"v\n" + b"x\n" * 100_000)
+        env = dict(os.environ, PYTHONPATH=str(Path(mvmatch.__file__).parents[1]),
+                   PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mvmatch.cli", "search", "--text", str(path),
+             "--pattern", "x"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == b""
+
 
 class TestCmdGen:
     def test_round_trip_through_files(self, tmp_path, capsys):

@@ -96,6 +96,7 @@ def test_registry_mismatch():
         search_naive,
         search_horspool_instrumented,
         search_naive_instrumented,
+        lambda t, p: search_horspool(t, p, build_shift_table(p)),
     ):
         with pytest.raises(RegistryMismatch):
             fn(text, p)

@@ -1,7 +1,6 @@
 import sys
 
 import pytest
-from scipy import stats as sstats
 
 from mvmatch import (
     GenConfig,
@@ -17,22 +16,22 @@ from helpers import check_symbol_typing, oracle_scan
 
 def test_invalid_configs():
     for bad in (
-        GenConfig(k=0, n=5, sigma=2, m=1, seed=0),
-        GenConfig(k=1, n=0, sigma=2, m=1, seed=0),
-        GenConfig(k=1, n=5, sigma=0, m=1, seed=0),
-        GenConfig(k=1, n=5, sigma=2, m=0, seed=0),
-        GenConfig(k=1, n=5, sigma=2, m=6, seed=0, pattern_mode="planted"),
-        GenConfig(k=1, n=5, sigma=2, m=1, seed=0, pattern_mode="zipf"),
-        GenConfig(k=1, n=5, sigma=2, m=1, seed=-1),
-        GenConfig(k=2, n=sys.maxsize // 8, sigma=2, m=1, seed=0),
+        dict(k=0, n=5, sigma=2, m=1, seed=0),
+        dict(k=1, n=0, sigma=2, m=1, seed=0),
+        dict(k=1, n=5, sigma=0, m=1, seed=0),
+        dict(k=1, n=5, sigma=2, m=0, seed=0),
+        dict(k=1, n=5, sigma=2, m=6, seed=0, pattern_mode="planted"),
+        dict(k=1, n=5, sigma=2, m=1, seed=0, pattern_mode="zipf"),
+        dict(k=1, n=5, sigma=2, m=1, seed=-1),
+        dict(k=2, n=sys.maxsize // 8, sigma=2, m=1, seed=0),
     ):
         with pytest.raises(InvalidConfig):
-            generate_instance(bad)
+            GenConfig(**bad)
 
 
 def test_largest_text_passes_validation():
-    # validate only: generating it would allocate sys.maxsize bytes
-    GenConfig(k=1, n=sys.maxsize // 8, sigma=2, m=1, seed=0).validate()
+    # construct only: generating it would allocate sys.maxsize bytes
+    GenConfig(k=1, n=sys.maxsize // 8, sigma=2, m=1, seed=0)
 
 
 def test_one_symbol_alphabet_forces_everything():
@@ -97,8 +96,11 @@ def test_symbol_frequencies_uniform():
         counts = [0] * sigma
         for sym in seq:
             counts[sym - v * sigma] += 1
-        result = sstats.chisquare(counts)
-        assert result.pvalue > 1e-4
+        expected = len(seq) / sigma
+        statistic = sum((c - expected) ** 2 / expected for c in counts)
+        # chi-square with sigma - 1 = 9 degrees of freedom: isf(1e-4, 9) = 33.71995,
+        # rounded down, so this is no looser than p > 1e-4
+        assert statistic < 33.7199
 
 
 def test_generated_instance_matches_oracle():
