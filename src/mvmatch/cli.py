@@ -1,10 +1,10 @@
 """Command-line entry points: search, gen, bench.
 
 Exit codes follow the grep convention for `search` (0 at least one match,
-1 no match, 2 error); `gen` and `bench` use 0/2.  A reader that closes stdout
-early, as `| head` does, gives status 141 and nothing on stderr.  Positions
-print 0-based by default; --base 1 shifts them for comparison against 1-based
-diagrams.
+1 no match, 2 error); `gen` and `bench` use 0/2.  A reader that closes stdout,
+mid-output as `| head` does or before the first write, gives status 141 and
+nothing on stderr.  Positions print 0-based by default; --base 1 shifts them
+for comparison against 1-based diagrams.
 """
 
 from __future__ import annotations
@@ -176,8 +176,12 @@ def _all_or_nothing(*paths: str):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # not left to exit, so a reader gone before any write is caught
+        return status
     except BrokenPipeError:  # the reader closed stdout, as `| head` does: not an error
+        with open(os.devnull, "wb") as devnull:  # the flush at exit then writes nowhere
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, what a shell shows for `grep` in the same pipe
     except (OSError, MatchingError, MemoryError) as exc:
         print(f"mvmatch: {str(exc) or 'out of memory'}", file=sys.stderr)

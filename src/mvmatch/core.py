@@ -58,15 +58,34 @@ class AlphabetRegistry:
     """Interning table for the k disjoint view alphabets.
 
     Holds the total type function: every registered symbol maps to exactly
-    one view and one token string.
+    one view and one token string.  Symbol ids are dense and assigned in the
+    order ``view_alphabets`` is iterated, so pass ordered collections when id
+    assignment must be reproducible.  Raises DisjointnessViolation if any
+    token occurs under two views (or twice in the same view).
     """
 
-    def __init__(self, view_names: tuple[str, ...], token_to_symbol: dict[str, SymbolId],
-                 symbol_to_view: tuple[ViewId, ...], symbol_to_token: tuple[str, ...]):
-        self.view_names = view_names
+    def __init__(self, view_names: Sequence[str], view_alphabets: Sequence[Iterable[str]]):
+        if len(view_names) != len(view_alphabets):
+            raise ValueError("view_names and view_alphabets must have equal length")
+        if len(view_names) < 1:
+            raise ValueError("at least one view is required")
+
+        token_to_symbol: dict[str, SymbolId] = {}
+        symbol_to_view: list[ViewId] = []
+        symbol_to_token: list[str] = []
+        for view, tokens in enumerate(view_alphabets):
+            for token in tokens:
+                if token in token_to_symbol:
+                    prev = symbol_to_view[token_to_symbol[token]]
+                    raise DisjointnessViolation(token, view_names[prev], view_names[view])
+                token_to_symbol[token] = len(symbol_to_token)
+                symbol_to_view.append(view)
+                symbol_to_token.append(token)
+
+        self.view_names = tuple(view_names)
         self.token_to_symbol = token_to_symbol
-        self.symbol_to_view = symbol_to_view
-        self.symbol_to_token = symbol_to_token
+        self.symbol_to_view = tuple(symbol_to_view)
+        self.symbol_to_token = tuple(symbol_to_token)
 
     @property
     def k(self) -> int:
@@ -83,39 +102,7 @@ class AlphabetRegistry:
             raise UnknownSymbol(token) from None
 
 
-def build_registry(
-    view_names: Sequence[str], view_alphabets: Sequence[Iterable[str]]
-) -> AlphabetRegistry:
-    """Intern the view alphabets, assigning dense symbol ids in order.
-
-    ``view_alphabets`` is iterated in the given order, so pass ordered
-    collections when id assignment must be reproducible.  Raises
-    DisjointnessViolation if any token occurs under two views (or twice in
-    the same view).
-    """
-    if len(view_names) != len(view_alphabets):
-        raise ValueError("view_names and view_alphabets must have equal length")
-    if len(view_names) < 1:
-        raise ValueError("at least one view is required")
-
-    token_to_symbol: dict[str, SymbolId] = {}
-    symbol_to_view: list[ViewId] = []
-    symbol_to_token: list[str] = []
-    for view, tokens in enumerate(view_alphabets):
-        for token in tokens:
-            if token in token_to_symbol:
-                prev = symbol_to_view[token_to_symbol[token]]
-                raise DisjointnessViolation(token, view_names[prev], view_names[view])
-            token_to_symbol[token] = len(symbol_to_token)
-            symbol_to_view.append(view)
-            symbol_to_token.append(token)
-
-    return AlphabetRegistry(
-        view_names=tuple(view_names),
-        token_to_symbol=token_to_symbol,
-        symbol_to_view=tuple(symbol_to_view),
-        symbol_to_token=tuple(symbol_to_token),
-    )
+build_registry = AlphabetRegistry
 
 
 class MultiViewText:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .core import MultiViewText, Pattern, RegistryMismatch, SymbolId
+from .core import MatchingError, MultiViewText, Pattern, RegistryMismatch, SymbolId
 
 
 class SearchStats:
@@ -35,29 +35,29 @@ class SearchStats:
 
 
 class ShiftTable:
-    """Bad-character shifts: a sparse map with default m for symbols not stored.
+    """Bad-character shifts of one pattern: a sparse map with default m.
 
-    Kept sparse because token alphabets can be vocabulary-sized while the
-    pattern touches only a handful of symbols.
-    """
-
-    def __init__(self, shifts: dict[SymbolId, int], default_shift: int):
-        self.shifts = shifts
-        self.default_shift = default_shift
-
-
-def build_shift_table(pattern: Pattern) -> ShiftTable:
-    """A symbol's shift is the distance from the last pattern position to its
+    A symbol's shift is the distance from the last pattern position to its
     latest occurrence strictly before it; a symbol occurring only there, or
     absent, shifts by m.  All shifts are thus in [1, m], so the search always
     advances.  One left-to-right pass over p[0..m-2]: later occurrences
-    overwrite earlier ones, which realizes the minimum-offset rule."""
-    m = pattern.m
-    shifts: dict[SymbolId, int] = {}
-    symbols = pattern.symbols
-    for q in range(m - 1):
-        shifts[symbols[q]] = m - 1 - q
-    return ShiftTable(shifts=shifts, default_shift=m)
+    overwrite earlier ones, which realizes the minimum-offset rule.  Sparse,
+    because token alphabets can be vocabulary-sized while the pattern touches
+    only a handful of symbols.
+    """
+
+    def __init__(self, pattern: Pattern):
+        m = pattern.m
+        shifts: dict[SymbolId, int] = {}
+        symbols = pattern.symbols
+        for q in range(m - 1):
+            shifts[symbols[q]] = m - 1 - q
+        self.shifts = shifts
+        self.default_shift = m
+        self.symbols = symbols  # the pattern it was built for
+
+
+build_shift_table = ShiftTable
 
 
 def _pattern_rows(text: MultiViewText, pattern: Pattern):
@@ -77,7 +77,9 @@ def _horspool_setup(text: MultiViewText, pattern: Pattern, table: ShiftTable | N
     prefix rows, the views the shift reads and the last window start (< 0 if m > n)."""
     rows = _pattern_rows(text, pattern)
     if table is None:
-        table = build_shift_table(pattern)
+        table = ShiftTable(pattern)
+    elif table.symbols != pattern.symbols:
+        raise MatchingError("the shift table was built for another pattern")
     return (table.shifts.get, table.default_shift, rows[-1], rows[:-1], text.views,
             text.n - pattern.m)
 
@@ -120,8 +122,8 @@ def search_horspool(
     right on a hit, then shift by the minimum bad-character offset over all
     views' symbols at the window's last position.
 
-    A prebuilt shift table may be passed to reuse pre-processing across
-    texts.
+    A shift table built for this pattern may be passed to reuse
+    pre-processing across texts; one built for other symbols is refused.
     """
     shift_of, default, (last_row, last_sym), prefix, views, limit = \
         _horspool_setup(text, pattern, table)

@@ -176,8 +176,18 @@ def test_package_exports_what_perfbench_uses():
                  "build_shift_table", "search_horspool", "search_horspool_instrumented",
                  "search_naive", "search_naive_instrumented"):
         assert name in mvmatch.__all__ and callable(getattr(mvmatch, name))
-    table = mvmatch.build_shift_table(char_pattern(char_registry(), "BAbB"))
+    registry = char_registry()
+    assert (registry.k, registry.num_symbols) == (2, 6)
+    text = char_text(registry, "cabbaabc", "BABABACB")
+    pattern = char_pattern(registry, "BAbB")
+    assert pattern.m == 4
+    table = mvmatch.build_shift_table(pattern)
     assert type(table.shifts) is dict
+    assert mvmatch.search_horspool(text, pattern, table) == [4]
+    for instrumented, counts in ((mvmatch.search_horspool_instrumented, (3, 10, 1)),
+                                 (mvmatch.search_naive_instrumented, (5, 13, 1))):
+        _, stats = instrumented(text, pattern)
+        assert (stats.alignments, stats.symbol_reads, stats.matches_found) == counts
 
 
 class TestCmdSearch:
@@ -300,6 +310,26 @@ class TestCmdSearch:
         proc.stderr.close()
         assert proc.wait() == 141
         assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_stdout_closed_before_start_exits_141_quietly(self, tmp_path, unbuffered):
+        # 100 matches fit in stdout's buffer: buffered, the first write is the final flush
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"v\n" + b"x\n" * 100)
+        env = dict(os.environ, PYTHONPATH=str(Path(mvmatch.__file__).parents[1]),
+                   PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mvmatch.cli", "search", "--text", str(path),
+                 "--pattern", "x"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestCmdGen:

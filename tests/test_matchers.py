@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvmatch import (
+    MatchingError,
     RegistryMismatch,
     build_registry,
     build_shift_table,
@@ -100,6 +101,16 @@ def test_registry_mismatch():
     ):
         with pytest.raises(RegistryMismatch):
             fn(text, p)
+
+
+def test_shift_table_must_be_built_for_the_pattern(babb_instance):
+    reg, text, babb = babb_instance
+    ab = char_pattern(reg, "ab")
+    with pytest.raises(MatchingError, match="built for another pattern"):
+        search_horspool(text, ab, build_shift_table(babb))
+    # compared by symbols: a table from a distinct, equal Pattern is accepted
+    table = build_shift_table(char_pattern(reg, "ab"))
+    assert search_horspool(text, ab, table) == search_naive(text, ab) == [1, 5]
 
 
 def test_babb_instrumented_counts(babb_instance):
