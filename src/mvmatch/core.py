@@ -152,6 +152,8 @@ def occurs_at(text: MultiViewText, pattern: Pattern, i: int) -> bool:
     True iff every pattern symbol equals the text symbol of its own view at
     the aligned position; the other views are ignored there.
     """
+    if text.registry is not pattern.registry:
+        raise RegistryMismatch("text and pattern were built against different registries")
     n = text.n
     m = pattern.m
     if i < 0 or i > n - m:

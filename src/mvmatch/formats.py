@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .core import (
     AlphabetRegistry,
+    DisjointnessViolation,
     MatchingError,
     MultiViewText,
     Pattern,
@@ -69,7 +70,11 @@ def parse_text_file(data: bytes) -> tuple[AlphabetRegistry, MultiViewText]:
     del joined, fields
 
     # dicts keep insertion order, giving reproducible symbol ids
-    registry = build_registry(header, [dict.fromkeys(column) for column in columns])
+    try:
+        registry = build_registry(header, [dict.fromkeys(column) for column in columns])
+    except DisjointnessViolation as exc:  # the first line whose later view holds it
+        line = columns[header.index(exc.view_b)].index(exc.token) + 2
+        raise FormatError(line, str(exc)) from None
     lookup = registry.token_to_symbol.__getitem__
     views = tuple(tuple(map(lookup, column)) for column in columns)
     return registry, MultiViewText(views, registry)

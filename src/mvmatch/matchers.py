@@ -2,10 +2,11 @@
 table, and the naive baseline, each as a fast and an instrumented kernel.
 
 All searchers return every overlapping occurrence as a sorted list of
-0-based window positions.  The instrumented kernels additionally return
-SearchStats: the window positions tried (the alignment trace) and the
-text-symbol reads, which serve as machine-independent work measures for
-benchmarking.
+0-based window positions.  The fast kernels are the timed algorithms.  The
+instrumented kernels additionally return SearchStats: the window positions
+tried (the alignment trace) and the text-symbol reads the convention below
+counts, the machine-independent work measures for benchmarking.  They
+verify one offset at a time over all candidate windows, with the same counts.
 
 Counting convention: at each Horspool alignment the k reads used for the
 shift (one per view, all at the window's last position) count as k reads;
@@ -84,6 +85,17 @@ def _horspool_setup(text: MultiViewText, pattern: Pattern, table: ShiftTable | N
             text.n - pattern.m)
 
 
+def _verify(rows, starts):
+    """The starts that hold at every (row, symbol) offset, and the reads a
+    left-to-right check of each start makes up to its first mismatch:
+    offset q is read by exactly the starts that held at offsets 0..q-1."""
+    reads = 0
+    for q, (row, sym) in enumerate(rows):
+        reads += len(starts)
+        starts = [i for i in starts if row[i + q] == sym]
+    return starts, reads
+
+
 def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
     """Try every window, comparing offsets left to right until mismatch."""
     matches: list[int] = []
@@ -101,17 +113,8 @@ def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
 def search_naive_instrumented(
     text: MultiViewText, pattern: Pattern
 ) -> tuple[list[int], SearchStats]:
-    matches: list[int] = []
     trace = range(text.n - pattern.m + 1)
-    rows = _pattern_rows(text, pattern)
-    reads = 0
-    for i in trace:
-        for q, (row, sym) in enumerate(rows):
-            reads += 1
-            if row[i + q] != sym:
-                break
-        else:
-            matches.append(i)
+    matches, reads = _verify(_pattern_rows(text, pattern), trace)
     return matches, SearchStats(trace, reads, len(matches))
 
 
@@ -148,23 +151,15 @@ def search_horspool_instrumented(
     """search_horspool that also records the alignment trace and the reads."""
     shift_of, default, (last_row, last_sym), prefix, views, limit = \
         _horspool_setup(text, pattern, None)
-    m = pattern.m
-    matches: list[int] = []
+    last = pattern.m - 1
     trace: list[int] = []
     visit = trace.append
-    reads = 0
     j = 0
     while j <= limit:
         visit(j)
-        e = j + m - 1
-        if last_row[e] == last_sym:
-            for q, (row, sym) in enumerate(prefix):
-                reads += 1
-                if row[j + q] != sym:
-                    break
-            else:
-                matches.append(j)
-        j += min(shift_of(row[e], default) for row in views)
+        j += min(shift_of(row[j + last], default) for row in views)
+    hits = [j for j in trace if last_row[j + last] == last_sym]
+    matches, reads = _verify(prefix, hits)
     # the k shift reads per alignment; the last-symbol view's read is shared
     return matches, SearchStats(trace, reads + len(views) * len(trace), len(matches))
 

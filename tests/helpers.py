@@ -12,6 +12,7 @@ from typing import Sequence
 
 from mvmatch import (
     AlphabetRegistry,
+    DisjointnessViolation,
     FormatError,
     MultiViewText,
     Pattern,
@@ -64,16 +65,24 @@ def random_instance(rng: random.Random, k: int, n: int, sigma: int, m: int,
     alphabets = [[f"t{v}x{i}" for i in range(sigma)] for v in range(k)]
     reg = build_registry(names, alphabets)
     views = [[rng.randrange(sigma) + v * sigma for _ in range(n)] for v in range(k)]
+    text = make_text(views, reg)
+    pattern, planted = random_pattern(rng, text, m, mode)
+    return text, pattern, planted
+
+
+def random_pattern(rng: random.Random, text: MultiViewText, m: int, mode: str = "uniform"):
+    """A pattern of m symbols over the text's registry: uniform over all its
+    symbols, or planted by copying a random view at each offset of a random
+    window.  Returns (pattern, planted_start_or_None)."""
+    registry = text.registry
     planted = None
     if mode == "planted":
-        assert m <= n
-        planted = rng.randrange(n - m + 1)
-        symbols = [views[rng.randrange(k)][planted + q] for q in range(m)]
+        assert m <= text.n
+        planted = rng.randrange(text.n - m + 1)
+        symbols = [text.views[rng.randrange(registry.k)][planted + q] for q in range(m)]
     else:
-        symbols = [rng.randrange(k * sigma) for _ in range(m)]
-    text = make_text(views, reg)
-    pattern = Pattern(tuple(symbols), reg)
-    return text, pattern, planted
+        symbols = [rng.randrange(registry.num_symbols) for _ in range(m)]
+    return Pattern(tuple(symbols), registry), planted
 
 
 def occurs_at_reference(text: MultiViewText, pattern: Pattern, i: int) -> bool:
@@ -93,6 +102,24 @@ def oracle_scan(text: MultiViewText, pattern: Pattern) -> list[int]:
     if m > n:
         return []
     return [i for i in range(n - m + 1) if occurs_at_reference(text, pattern, i)]
+
+
+def bitset_positions(text: MultiViewText, pattern: Pattern) -> list[int]:
+    """Match positions from bitsets, sharing no code with the kernels.
+
+    For each offset q, a 0/1 byte string over view(q) marks where p[q]
+    stands; read as an int and shifted right by 8q bits, its byte i says
+    whether window i holds offset q.  The AND over all m offsets has a
+    nonzero byte exactly at the match positions.  Each string compares the
+    symbol id itself, so any alphabet size works.
+    """
+    view_of = text.registry.symbol_to_view
+    bits = {sym: int.from_bytes(bytes(map(sym.__eq__, text.views[view_of[sym]])), "little")
+            for sym in set(pattern.symbols)}
+    hits = -1
+    for q, sym in enumerate(pattern.symbols):
+        hits &= bits[sym] >> (8 * q)
+    return [i for i, byte in enumerate(hits.to_bytes(text.n, "little")) if byte]
 
 
 def shift_oracle(pattern: Pattern, symbol: int) -> int:
@@ -223,7 +250,13 @@ def reference_parse_text_file(data: bytes) -> tuple[AlphabetRegistry, MultiViewT
             vocabularies[v][token] = None
         records.append(fields)
 
-    registry = build_registry(header, [list(v) for v in vocabularies])
+    try:
+        registry = build_registry(header, [list(v) for v in vocabularies])
+    except DisjointnessViolation as exc:
+        # the first line whose later view holds the shared token
+        v = header.index(exc.view_b)
+        lineno = next(i for i, fields in enumerate(records, start=2) if fields[v] == exc.token)
+        raise FormatError(lineno, str(exc)) from None
     columns: list[list[int]] = [[] for _ in range(k)]
     lookup = registry.token_to_symbol
     for fields in records:

@@ -53,8 +53,10 @@ class TestParseTextFile:
 
     def test_disjointness_violation(self):
         data = b"w\tt\nrun\trun\n"
-        with pytest.raises(DisjointnessViolation):
+        with pytest.raises(FormatError) as exc:
             parse_text_file(data)
+        assert exc.value.line == 2
+        assert exc.value.reason == str(DisjointnessViolation("run", "w", "t"))
 
     def test_wrong_field_count(self):
         with pytest.raises(FormatError) as exc:
@@ -227,6 +229,15 @@ class TestCmdSearch:
         code = main(["search", "--text", write_babb(tmp_path), "--pattern", "Z"])
         assert code == 2
         assert "Z" in capsys.readouterr().err
+
+    def test_shared_token_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "shared.tsv"
+        path.write_bytes(b"w\tt\na\tb\nc\ta\n")
+        assert main(["search", "--text", str(path), "--pattern", "a"]) == 2
+        assert capsys.readouterr().err == (
+            "mvmatch: line 3: token 'a' appears in both view 'w' and view 't';"
+            " view alphabets must be disjoint\n"
+        )
 
     def test_count_flag(self, tmp_path, capsys):
         code = main(["search", "--text", write_babb(tmp_path),

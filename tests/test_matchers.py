@@ -9,6 +9,7 @@ from mvmatch import (
     RegistryMismatch,
     build_registry,
     build_shift_table,
+    occurs_at,
     resolve_pattern,
     search_horspool,
     search_horspool_instrumented,
@@ -16,7 +17,10 @@ from mvmatch import (
     search_naive_instrumented,
 )
 
+from mvmatch.matchers import KERNELS
+
 from helpers import (
+    bitset_positions,
     char_pattern,
     char_registry,
     char_text,
@@ -27,6 +31,7 @@ from helpers import (
     naive_symbol_reads,
     oracle_scan,
     random_instance,
+    random_pattern,
 )
 
 
@@ -98,6 +103,7 @@ def test_registry_mismatch():
         search_horspool_instrumented,
         search_naive_instrumented,
         lambda t, p: search_horspool(t, p, build_shift_table(p)),
+        lambda t, p: occurs_at(t, p, 0),
     ):
         with pytest.raises(RegistryMismatch):
             fn(text, p)
@@ -195,6 +201,45 @@ def test_kernels_and_counts_match_oracles(instance):
     assert matches == expected and stats.matches_found == len(expected)
     assert list(stats.trace) == trace and stats.alignments == len(trace)
     assert stats.symbol_reads == text.registry.k * len(trace) + verify_reads
+
+
+def test_bitset_oracle_agrees_with_oracle_scan():
+    rng = random.Random(2718)
+    for _ in range(1000):
+        n = rng.randint(1, 40)
+        m = rng.randint(1, n + 2)
+        mode = "planted" if (rng.random() < 0.5 and m <= n) else "uniform"
+        text, pattern, _ = random_instance(
+            rng, rng.randint(1, 5), n, rng.randint(1, 4), m, mode)
+        assert bitset_positions(text, pattern) == oracle_scan(text, pattern)
+
+
+# Desk scale: one text of DESK_N positions per (k, sigma), searched with
+# planted and uniform patterns of each length in DESK_M; m = n and m = n + 1
+# run on its first DESK_SMALL_N positions.
+DESK_N = 8_000
+DESK_SMALL_N = 60
+DESK_M = (1, 2, 10, 30)
+
+
+def test_every_kernel_matches_the_bitset_oracle_at_desk_scale():
+    rng = random.Random(1980)
+    for k in (1, 3, 8):
+        for sigma in (1, 2, 4, 10, 300):
+            text, _, _ = random_instance(rng, k, DESK_N, sigma, 1)
+            small = make_text([view[:DESK_SMALL_N] for view in text.views], text.registry)
+            cases = [(text, m, mode) for m in DESK_M for mode in ("planted", "uniform")]
+            cases += [(small, DESK_SMALL_N, "planted"), (small, DESK_SMALL_N, "uniform"),
+                      (small, DESK_SMALL_N + 1, "uniform")]
+            for haystack, m, mode in cases:
+                pattern, _ = random_pattern(rng, haystack, m, mode)
+                expected = bitset_positions(haystack, pattern)
+                where = f"k={k} sigma={sigma} n={haystack.n} m={m} {mode}"
+                for name, (fast, instrumented) in KERNELS.items():
+                    assert fast(haystack, pattern) == expected, f"{name} {where}"
+                    matches, stats = instrumented(haystack, pattern)
+                    assert matches == expected, f"{name}_instrumented {where}"
+                    assert stats.matches_found == len(expected), f"{name}_instrumented {where}"
 
 
 def test_results_sorted_unique():
