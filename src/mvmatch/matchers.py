@@ -5,8 +5,15 @@ All searchers return every overlapping occurrence as a sorted list of
 0-based window positions.  The fast kernels are the timed algorithms.  The
 instrumented kernels additionally return SearchStats: the window positions
 tried (the alignment trace) and the text-symbol reads the convention below
-counts, the machine-independent work measures for benchmarking.  They
-verify one offset at a time over all candidate windows, with the same counts.
+counts, the machine-independent work measures for benchmarking.  Both
+Horspool kernels run one alignment loop, which looks shifts up in a dense
+list indexed by symbol id, takes the minimum of up to three views with two
+compares and records every window tried; the hits are verified one offset
+at a time.  The fast naive lets tuple.index skip windows whose first offset
+mismatches.  Text symbol ids must lie in [0, num_symbols) of the text's
+registry, as every constructor in the package gives: a larger id raises
+IndexError, and a negative one reads another symbol's shift, which can
+change the trace and the reads (never the matches) without an error.
 
 Counting convention: at each Horspool alignment the k reads used for the
 shift (one per view, all at the window's last position) count as k reads;
@@ -73,16 +80,43 @@ def _pattern_rows(text: MultiViewText, pattern: Pattern):
     return [(views[view_of[s]], s) for s in pattern.symbols]
 
 
-def _horspool_setup(text: MultiViewText, pattern: Pattern, table: ShiftTable | None):
-    """The shift lookup and its default, the last offset's (row, symbol), the
-    prefix rows, the views the shift reads and the last window start (< 0 if m > n)."""
+def _horspool_trace(text: MultiViewText, pattern: Pattern, table: ShiftTable | None):
+    """The windows multi-view Horspool tries, in order, each shifting by the
+    minimum bad-character offset over all views at the window's last position;
+    the tried windows whose last symbol matches; the prefix rows; and k."""
     rows = _pattern_rows(text, pattern)
     if table is None:
         table = ShiftTable(pattern)
     elif table.symbols != pattern.symbols:
         raise MatchingError("the shift table was built for another pattern")
-    return (table.shifts.get, table.default_shift, rows[-1], rows[:-1], text.views,
-            text.n - pattern.m)
+    shift = [table.default_shift] * text.registry.num_symbols
+    for symbol, distance in table.shifts.items():
+        shift[symbol] = distance
+    views = text.views
+    last_row, last_sym = rows[-1]
+    last = pattern.m - 1
+    limit = text.n - pattern.m  # the last window start; < 0 if m > n
+    trace: list[int] = []
+    visit = trace.append
+    j = 0
+    if len(views) <= 3:
+        # repeating a view leaves the minimum unchanged; two compares beat min()
+        a, b, c = (views * 3)[:3]
+        while j <= limit:
+            visit(j)
+            e = j + last
+            s = shift[a[e]]
+            t = shift[b[e]]
+            u = shift[c[e]]
+            if t < s:
+                s = t
+            j += u if u < s else s
+    else:
+        while j <= limit:
+            visit(j)
+            j += min([shift[row[j + last]] for row in views])
+    hits = [j for j in trace if last_row[j + last] == last_sym]
+    return trace, hits, rows[:-1], len(views)
 
 
 def _verify(rows, starts):
@@ -97,17 +131,23 @@ def _verify(rows, starts):
 
 
 def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
-    """Try every window, comparing offsets left to right until mismatch."""
+    """Try every window, comparing offsets left to right until mismatch;
+    tuple.index skips, in C, every window whose first offset mismatches."""
+    (row0, sym0), *rest = _pattern_rows(text, pattern)
+    stop = max(text.n - pattern.m + 1, 0)  # a negative stop would count from the end
     matches: list[int] = []
-    rows = _pattern_rows(text, pattern)
-    # empty when m > n
-    for i in range(text.n - pattern.m + 1):
-        for q, (row, sym) in enumerate(rows):
+    i = 0
+    while True:
+        try:
+            i = row0.index(sym0, i, stop)
+        except ValueError:  # no window left whose first offset holds
+            return matches
+        for q, (row, sym) in enumerate(rest, 1):
             if row[i + q] != sym:
                 break
         else:
             matches.append(i)
-    return matches
+        i += 1
 
 
 def search_naive_instrumented(
@@ -121,47 +161,25 @@ def search_naive_instrumented(
 def search_horspool(
     text: MultiViewText, pattern: Pattern, table: ShiftTable | None = None
 ) -> list[int]:
-    """Multi-view Horspool: compare the last position first, verify left to
-    right on a hit, then shift by the minimum bad-character offset over all
-    views' symbols at the window's last position.
+    """Multi-view Horspool: shift by the minimum bad-character offset over all
+    views at the window's last position, then verify the windows whose last
+    symbol matched.
 
     A shift table built for this pattern may be passed to reuse
     pre-processing across texts; one built for other symbols is refused.
     """
-    shift_of, default, (last_row, last_sym), prefix, views, limit = \
-        _horspool_setup(text, pattern, table)
-    m = pattern.m
-    matches: list[int] = []
-    j = 0
-    while j <= limit:
-        e = j + m - 1
-        if last_row[e] == last_sym:
-            for q, (row, sym) in enumerate(prefix):
-                if row[j + q] != sym:
-                    break
-            else:
-                matches.append(j)
-        j += min(shift_of(row[e], default) for row in views)
-    return matches
+    _, hits, prefix, _ = _horspool_trace(text, pattern, table)
+    return _verify(prefix, hits)[0]
 
 
 def search_horspool_instrumented(
     text: MultiViewText, pattern: Pattern
 ) -> tuple[list[int], SearchStats]:
     """search_horspool that also records the alignment trace and the reads."""
-    shift_of, default, (last_row, last_sym), prefix, views, limit = \
-        _horspool_setup(text, pattern, None)
-    last = pattern.m - 1
-    trace: list[int] = []
-    visit = trace.append
-    j = 0
-    while j <= limit:
-        visit(j)
-        j += min(shift_of(row[j + last], default) for row in views)
-    hits = [j for j in trace if last_row[j + last] == last_sym]
+    trace, hits, prefix, k = _horspool_trace(text, pattern, None)
     matches, reads = _verify(prefix, hits)
     # the k shift reads per alignment; the last-symbol view's read is shared
-    return matches, SearchStats(trace, reads + len(views) * len(trace), len(matches))
+    return matches, SearchStats(trace, reads + k * len(trace), len(matches))
 
 
 # algorithm -> (fast kernel, instrumented kernel)

@@ -216,15 +216,30 @@ def test_bitset_oracle_agrees_with_oracle_scan():
 
 # Desk scale: one text of DESK_N positions per (k, sigma), searched with
 # planted and uniform patterns of each length in DESK_M; m = n and m = n + 1
-# run on its first DESK_SMALL_N positions.
+# run on its first DESK_SMALL_N positions.  DESK_K covers the Horspool shift
+# step for up to three views (k = 1 and 2 repeat a view) and the generic one.
 DESK_N = 8_000
 DESK_SMALL_N = 60
 DESK_M = (1, 2, 10, 30)
+DESK_K = (1, 2, 3, 4, 8)
+
+
+def _naive_counts(text, pattern):
+    return list(range(text.n - pattern.m + 1)), naive_symbol_reads(text, pattern)
+
+
+def _horspool_counts(text, pattern):
+    trace, verify_reads = multiview_horspool_trace(text, pattern)
+    return trace, text.registry.k * len(trace) + verify_reads
+
+
+# algorithm -> oracle of its instrumented kernel's (trace, symbol_reads)
+COUNT_ORACLES = {"horspool": _horspool_counts, "naive": _naive_counts}
 
 
 def test_every_kernel_matches_the_bitset_oracle_at_desk_scale():
     rng = random.Random(1980)
-    for k in (1, 3, 8):
+    for k in DESK_K:
         for sigma in (1, 2, 4, 10, 300):
             text, _, _ = random_instance(rng, k, DESK_N, sigma, 1)
             small = make_text([view[:DESK_SMALL_N] for view in text.views], text.registry)
@@ -240,6 +255,9 @@ def test_every_kernel_matches_the_bitset_oracle_at_desk_scale():
                     matches, stats = instrumented(haystack, pattern)
                     assert matches == expected, f"{name}_instrumented {where}"
                     assert stats.matches_found == len(expected), f"{name}_instrumented {where}"
+                    trace, reads = COUNT_ORACLES[name](haystack, pattern)
+                    assert list(stats.trace) == trace, f"{name}_instrumented {where}"
+                    assert stats.symbol_reads == reads, f"{name}_instrumented {where}"
 
 
 def test_results_sorted_unique():
