@@ -6,14 +6,16 @@ All searchers return every overlapping occurrence as a sorted list of
 instrumented kernels additionally return SearchStats: the window positions
 tried (the alignment trace) and the text-symbol reads the convention below
 counts, the machine-independent work measures for benchmarking.  Both
-Horspool kernels run one alignment loop, which looks shifts up in a dense
-list indexed by symbol id, takes the minimum of up to three views with two
-compares and records every window tried; the hits are verified one offset
-at a time.  The fast naive lets tuple.index skip windows whose first offset
-mismatches.  Text symbol ids must lie in [0, num_symbols) of the text's
-registry, as every constructor in the package gives: a larger id raises
-IndexError, and a negative one reads another symbol's shift, which can
-change the trace and the reads (never the matches) without an error.
+Horspool kernels run one alignment loop, a generator that looks each
+view's shift up in a dense list indexed by symbol id.  The fast kernel
+keeps only the windows whose last symbol matches, the instrumented one
+every window tried; both verify those hits one offset at a time.  The
+naive tries every window in Python, so its cost hangs on n and m, not on
+how common the pattern's symbols are in the text.  Text symbol ids must
+lie in [0, num_symbols) of the text's registry, as every constructor in
+the package gives: a larger id raises IndexError, and a negative one reads
+another symbol's shift, which can change the trace and the reads (never
+the matches) without an error.
 
 Counting convention: at each Horspool alignment the k reads used for the
 shift (one per view, all at the window's last position) count as k reads;
@@ -80,11 +82,10 @@ def _pattern_rows(text: MultiViewText, pattern: Pattern):
     return [(views[view_of[s]], s) for s in pattern.symbols]
 
 
-def _horspool_trace(text: MultiViewText, pattern: Pattern, table: ShiftTable | None):
-    """The windows multi-view Horspool tries, in order, each shifting by the
-    minimum bad-character offset over all views at the window's last position;
-    the tried windows whose last symbol matches; the prefix rows; and k."""
-    rows = _pattern_rows(text, pattern)
+def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable | None):
+    """Yield, in order, the windows multi-view Horspool tries, each shifting
+    by the minimum bad-character offset over all views at the window's last
+    position.  A generator, so that the fast kernel keeps no trace."""
     if table is None:
         table = ShiftTable(pattern)
     elif table.symbols != pattern.symbols:
@@ -93,30 +94,12 @@ def _horspool_trace(text: MultiViewText, pattern: Pattern, table: ShiftTable | N
     for symbol, distance in table.shifts.items():
         shift[symbol] = distance
     views = text.views
-    last_row, last_sym = rows[-1]
     last = pattern.m - 1
     limit = text.n - pattern.m  # the last window start; < 0 if m > n
-    trace: list[int] = []
-    visit = trace.append
     j = 0
-    if len(views) <= 3:
-        # repeating a view leaves the minimum unchanged; two compares beat min()
-        a, b, c = (views * 3)[:3]
-        while j <= limit:
-            visit(j)
-            e = j + last
-            s = shift[a[e]]
-            t = shift[b[e]]
-            u = shift[c[e]]
-            if t < s:
-                s = t
-            j += u if u < s else s
-    else:
-        while j <= limit:
-            visit(j)
-            j += min([shift[row[j + last]] for row in views])
-    hits = [j for j in trace if last_row[j + last] == last_sym]
-    return trace, hits, rows[:-1], len(views)
+    while j <= limit:
+        yield j
+        j += min([shift[row[j + last]] for row in views])
 
 
 def _verify(rows, starts):
@@ -131,23 +114,17 @@ def _verify(rows, starts):
 
 
 def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
-    """Try every window, comparing offsets left to right until mismatch;
-    tuple.index skips, in C, every window whose first offset mismatches."""
-    (row0, sym0), *rest = _pattern_rows(text, pattern)
-    stop = max(text.n - pattern.m + 1, 0)  # a negative stop would count from the end
+    """Try every window, comparing offsets left to right until mismatch."""
     matches: list[int] = []
-    i = 0
-    while True:
-        try:
-            i = row0.index(sym0, i, stop)
-        except ValueError:  # no window left whose first offset holds
-            return matches
-        for q, (row, sym) in enumerate(rest, 1):
+    rows = _pattern_rows(text, pattern)
+    # empty when m > n
+    for i in range(text.n - pattern.m + 1):
+        for q, (row, sym) in enumerate(rows):
             if row[i + q] != sym:
                 break
         else:
             matches.append(i)
-        i += 1
+    return matches
 
 
 def search_naive_instrumented(
@@ -156,6 +133,13 @@ def search_naive_instrumented(
     trace = range(text.n - pattern.m + 1)
     matches, reads = _verify(_pattern_rows(text, pattern), trace)
     return matches, SearchStats(trace, reads, len(matches))
+
+
+def _verify_hits(rows, windows):
+    """_verify over the windows whose last symbol matches, which the shift
+    step has already read."""
+    (last_row, last_sym), last = rows[-1], len(rows) - 1
+    return _verify(rows[:-1], [j for j in windows if last_row[j + last] == last_sym])
 
 
 def search_horspool(
@@ -168,18 +152,19 @@ def search_horspool(
     A shift table built for this pattern may be passed to reuse
     pre-processing across texts; one built for other symbols is refused.
     """
-    _, hits, prefix, _ = _horspool_trace(text, pattern, table)
-    return _verify(prefix, hits)[0]
+    rows = _pattern_rows(text, pattern)
+    return _verify_hits(rows, _horspool_windows(text, pattern, table))[0]
 
 
 def search_horspool_instrumented(
     text: MultiViewText, pattern: Pattern
 ) -> tuple[list[int], SearchStats]:
     """search_horspool that also records the alignment trace and the reads."""
-    trace, hits, prefix, k = _horspool_trace(text, pattern, None)
-    matches, reads = _verify(prefix, hits)
+    rows = _pattern_rows(text, pattern)
+    trace = list(_horspool_windows(text, pattern, None))
+    matches, reads = _verify_hits(rows, trace)
     # the k shift reads per alignment; the last-symbol view's read is shared
-    return matches, SearchStats(trace, reads + k * len(trace), len(matches))
+    return matches, SearchStats(trace, reads + len(text.views) * len(trace), len(matches))
 
 
 # algorithm -> (fast kernel, instrumented kernel)

@@ -216,8 +216,8 @@ def test_bitset_oracle_agrees_with_oracle_scan():
 
 # Desk scale: one text of DESK_N positions per (k, sigma), searched with
 # planted and uniform patterns of each length in DESK_M; m = n and m = n + 1
-# run on its first DESK_SMALL_N positions.  DESK_K covers the Horspool shift
-# step for up to three views (k = 1 and 2 repeat a view) and the generic one.
+# run on its first DESK_SMALL_N positions.  DESK_K covers one and two views,
+# the benchmark workloads' k <= 3, and more views than any workload has.
 DESK_N = 8_000
 DESK_SMALL_N = 60
 DESK_M = (1, 2, 10, 30)
