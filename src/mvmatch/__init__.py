@@ -10,7 +10,6 @@ from .core import (
     Pattern,
     RegistryMismatch,
     UnknownSymbol,
-    build_registry,
     occurs_at,
     resolve_pattern,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "SearchStats",
     "ShiftTable",
     "UnknownSymbol",
-    "build_registry",
     "build_shift_table",
     "generate_instance",
     "generate_instance_with_start",

@@ -102,9 +102,6 @@ class AlphabetRegistry:
             raise UnknownSymbol(token) from None
 
 
-build_registry = AlphabetRegistry
-
-
 class MultiViewText:
     """k aligned symbol sequences of common length n."""
 

@@ -21,7 +21,6 @@ from .core import (
     MatchingError,
     MultiViewText,
     Pattern,
-    build_registry,
     resolve_pattern,
 )
 
@@ -71,7 +70,7 @@ def parse_text_file(data: bytes) -> tuple[AlphabetRegistry, MultiViewText]:
 
     # dicts keep insertion order, giving reproducible symbol ids
     try:
-        registry = build_registry(header, [dict.fromkeys(column) for column in columns])
+        registry = AlphabetRegistry(header, [dict.fromkeys(column) for column in columns])
     except DisjointnessViolation as exc:  # the first line whose later view holds it
         line = columns[header.index(exc.view_b)].index(exc.token) + 2
         raise FormatError(line, str(exc)) from None

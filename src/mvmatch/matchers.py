@@ -13,9 +13,10 @@ every window tried; both verify those hits one offset at a time.  The
 naive tries every window in Python, so its cost hangs on n and m, not on
 how common the pattern's symbols are in the text.  Text symbol ids must
 lie in [0, num_symbols) of the text's registry, as every constructor in
-the package gives: a larger id raises IndexError, and a negative one reads
-another symbol's shift, which can change the trace and the reads (never
-the matches) without an error.
+the package gives.  Only the Horspool kernels index by a text symbol: there
+a larger id raises IndexError, and a negative one reads another symbol's
+shift, which can change the trace and the reads (never the matches)
+without an error.  The naive kernels only compare symbols.
 
 Counting convention: at each Horspool alignment the k reads used for the
 shift (one per view, all at the window's last position) count as k reads;
@@ -51,9 +52,9 @@ class ShiftTable:
     latest occurrence strictly before it; a symbol occurring only there, or
     absent, shifts by m.  All shifts are thus in [1, m], so the search always
     advances.  One left-to-right pass over p[0..m-2]: later occurrences
-    overwrite earlier ones, which realizes the minimum-offset rule.  Sparse,
-    because token alphabets can be vocabulary-sized while the pattern touches
-    only a handful of symbols.
+    overwrite earlier ones, which realizes the minimum-offset rule.  It holds
+    at most m-1 entries; each Horspool search expands it into a dense list
+    with one slot per registry symbol.
     """
 
     def __init__(self, pattern: Pattern):
@@ -149,8 +150,9 @@ def search_horspool(
     views at the window's last position, then verify the windows whose last
     symbol matched.
 
-    A shift table built for this pattern may be passed to reuse
-    pre-processing across texts; one built for other symbols is refused.
+    A shift table built for this pattern may be passed; that saves only
+    building its (m-1)-entry dict, as the dense list is rebuilt on every
+    call.  One built for other symbols is refused.
     """
     rows = _pattern_rows(text, pattern)
     return _verify_hits(rows, _horspool_windows(text, pattern, table))[0]

@@ -7,21 +7,15 @@ guarantees at least one occurrence.
 
 View v's tokens render as ``v<v>_<index>`` so generated instances survive
 a round trip through the multi-track text format.  Determinism holds
-within this implementation: equal configs yield equal instances.
+within this implementation: equal configs yield equal views and symbols,
+each instance under its own registry, as every parsed text has.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 
-from .core import (
-    AlphabetRegistry,
-    MatchingError,
-    MultiViewText,
-    Pattern,
-    build_registry,
-)
+from .core import AlphabetRegistry, MatchingError, MultiViewText, Pattern
 
 PATTERN_MODES = ("uniform", "planted")
 
@@ -57,15 +51,6 @@ class GenConfig:
         self.pattern_mode = pattern_mode
 
 
-@lru_cache(maxsize=64)
-def synthetic_registry(k: int, sigma: int) -> AlphabetRegistry:
-    """Registry for k views of sigma tokens each; symbol of (v, i) is
-    v*sigma + i."""
-    names = [f"v{v}" for v in range(k)]
-    alphabets = [[f"v{v}_{i}" for i in range(sigma)] for v in range(k)]
-    return build_registry(names, alphabets)
-
-
 def generate_instance(config: GenConfig) -> tuple[MultiViewText, Pattern]:
     text, pattern, _ = generate_instance_with_start(config)
     return text, pattern
@@ -79,7 +64,11 @@ def generate_instance_with_start(
     import numpy as np  # here, not at module top: `mvmatch search` never needs it
 
     k, n, sigma, m = config.k, config.n, config.sigma, config.m
-    registry = synthetic_registry(k, sigma)
+    # k views of sigma tokens each: the symbol of (v, i) is v*sigma + i
+    registry = AlphabetRegistry(
+        [f"v{v}" for v in range(k)],
+        [[f"v{v}_{i}" for i in range(sigma)] for v in range(k)],
+    )
     rng = np.random.default_rng(config.seed)
 
     raw = rng.integers(0, sigma, size=(k, n))

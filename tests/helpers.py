@@ -16,7 +16,6 @@ from mvmatch import (
     FormatError,
     MultiViewText,
     Pattern,
-    build_registry,
     resolve_pattern,
 )
 
@@ -43,7 +42,7 @@ def check_symbol_typing(text: MultiViewText) -> None:
 def char_registry():
     """The two-view registry used by the worked examples: lowercase word
     tokens, uppercase tag tokens."""
-    return build_registry(["word", "tag"], [list("abc"), list("ABC")])
+    return AlphabetRegistry(["word", "tag"], [list("abc"), list("ABC")])
 
 
 def char_text(reg, word_row: str, tag_row: str) -> MultiViewText:
@@ -63,7 +62,7 @@ def random_instance(rng: random.Random, k: int, n: int, sigma: int, m: int,
     token naming).  Returns (text, pattern, planted_start_or_None)."""
     names = [f"view{v}" for v in range(k)]
     alphabets = [[f"t{v}x{i}" for i in range(sigma)] for v in range(k)]
-    reg = build_registry(names, alphabets)
+    reg = AlphabetRegistry(names, alphabets)
     views = [[rng.randrange(sigma) + v * sigma for _ in range(n)] for v in range(k)]
     text = make_text(views, reg)
     pattern, planted = random_pattern(rng, text, m, mode)
@@ -251,7 +250,7 @@ def reference_parse_text_file(data: bytes) -> tuple[AlphabetRegistry, MultiViewT
         records.append(fields)
 
     try:
-        registry = build_registry(header, [list(v) for v in vocabularies])
+        registry = AlphabetRegistry(header, [list(v) for v in vocabularies])
     except DisjointnessViolation as exc:
         # the first line whose later view holds the shared token
         v = header.index(exc.view_b)

@@ -90,11 +90,11 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_single_view_degeneracy():
-    from mvmatch import build_registry, resolve_pattern
+    from mvmatch import AlphabetRegistry, resolve_pattern
 
     rng = random.Random(3)
     alphabet = [chr(ord("a") + i) for i in range(6)]
-    reg = build_registry(["w"], [alphabet])
+    reg = AlphabetRegistry(["w"], [alphabet])
     checked = 0
     for _ in range(1000):
         n = rng.randint(1, 200)

@@ -7,11 +7,11 @@ import pytest
 
 import mvmatch
 from mvmatch import (
+    AlphabetRegistry,
     DisjointnessViolation,
     EmptyPattern,
     FormatError,
     UnknownSymbol,
-    build_registry,
     parse_pattern_string,
     parse_text_file,
     resolve_pattern,
@@ -132,7 +132,7 @@ class TestParsePatternString:
     @pytest.mark.parametrize("sep", ["\xa0", "\u2028", "\x85", "\x0c", "\x0b"])
     def test_other_whitespace_is_part_of_a_token(self, sep):
         token = f"10{sep}000"
-        reg = build_registry(["w"], [[token, "a"]])
+        reg = AlphabetRegistry(["w"], [[token, "a"]])
         assert parse_pattern_string(f" {token}\ta\r\n", reg).tokens() == (token, "a")
 
     def test_serialize_pattern(self):
@@ -141,7 +141,7 @@ class TestParsePatternString:
 
     @pytest.mark.parametrize("token", ["x y", "x\ty", "x\r", "\ny", ""])
     def test_serialize_pattern_refuses_a_separator_in_a_token(self, token):
-        reg = build_registry(["w"], [[token, "a"]])
+        reg = AlphabetRegistry(["w"], [[token, "a"]])
         with pytest.raises(FormatError):
             serialize_pattern(resolve_pattern(["a", token], reg))
 

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from mvmatch import (
+    AlphabetRegistry,
     DisjointnessViolation,
     EmptyPattern,
     OutOfBounds,
     Pattern,
     UnknownSymbol,
-    build_registry,
     occurs_at,
     resolve_pattern,
 )
@@ -26,7 +26,7 @@ from helpers import (
 
 class TestBuildRegistry:
     def test_two_views_four_symbols(self):
-        reg = build_registry(["word", "tag"], [["a", "b"], ["A", "B"]])
+        reg = AlphabetRegistry(["word", "tag"], [["a", "b"], ["A", "B"]])
         assert reg.num_symbols == 4
         assert reg.symbol_to_view[reg.symbol_of("a")] == 0
         assert reg.symbol_to_view[reg.symbol_of("b")] == 0
@@ -34,34 +34,34 @@ class TestBuildRegistry:
         assert reg.symbol_to_view[reg.symbol_of("B")] == 1
 
     def test_ids_contiguous_in_registration_order(self):
-        reg = build_registry(["w", "t"], [["a", "b"], ["A"]])
+        reg = AlphabetRegistry(["w", "t"], [["a", "b"], ["A"]])
         assert [reg.symbol_of(t) for t in ("a", "b", "A")] == [0, 1, 2]
 
     def test_single_view(self):
-        reg = build_registry(["word"], [["x"]])
+        reg = AlphabetRegistry(["word"], [["x"]])
         assert reg.k == 1
         assert reg.num_symbols == 1
 
     def test_disjointness_violation(self):
         with pytest.raises(DisjointnessViolation) as exc:
-            build_registry(["w", "t"], [["a"], ["a"]])
+            AlphabetRegistry(["w", "t"], [["a"], ["a"]])
         assert exc.value.token == "a"
         assert (exc.value.view_a, exc.value.view_b) == ("w", "t")
 
     def test_duplicate_within_one_view_rejected(self):
         with pytest.raises(DisjointnessViolation):
-            build_registry(["w"], [["a", "a"]])
+            AlphabetRegistry(["w"], [["a", "a"]])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            build_registry(["w", "t"], [["a"]])
+            AlphabetRegistry(["w", "t"], [["a"]])
 
     def test_no_views(self):
         with pytest.raises(ValueError):
-            build_registry([], [])
+            AlphabetRegistry([], [])
 
     def test_totality(self):
-        reg = build_registry(["w", "t"], [["a", "b"], ["A", "B"]])
+        reg = AlphabetRegistry(["w", "t"], [["a", "b"], ["A", "B"]])
         for sym in range(reg.num_symbols):
             assert reg.symbol_to_view[sym] in (0, 1)
             assert reg.symbol_of(reg.symbol_to_token[sym]) == sym
@@ -69,7 +69,7 @@ class TestBuildRegistry:
 
 class TestResolvePattern:
     def test_mixed_views(self):
-        reg = build_registry(["word", "tag"], [list("abc"), list("ABC")])
+        reg = AlphabetRegistry(["word", "tag"], [list("abc"), list("ABC")])
         p = resolve_pattern(list("BAbB"), reg)
         assert p.m == 4
         assert tuple(reg.symbol_to_view[s] for s in p.symbols) == (1, 1, 0, 1)
@@ -79,7 +79,7 @@ class TestResolvePattern:
         assert resolve_pattern(["a"], reg).m == 1
 
     def test_unknown_symbol(self):
-        reg = build_registry(["w", "t"], [["a", "b"], ["A", "B"]])
+        reg = AlphabetRegistry(["w", "t"], [["a", "b"], ["A", "B"]])
         with pytest.raises(UnknownSymbol) as exc:
             resolve_pattern(["Z"], reg)
         assert exc.value.token == "Z"

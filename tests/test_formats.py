@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvmatch import FormatError, MatchingError, build_registry, resolve_pattern
+from mvmatch import AlphabetRegistry, FormatError, MatchingError, resolve_pattern
 from mvmatch.formats import (
     parse_pattern_string,
     parse_text_file,
@@ -104,7 +104,7 @@ def test_first_bad_line_wins(data, line, reason):
 
 
 def one_line_text(names, tokens):
-    registry = build_registry(names, [[t] for t in tokens])
+    registry = AlphabetRegistry(names, [[t] for t in tokens])
     return make_text([[s] for s in range(len(tokens))], registry)
 
 
@@ -127,7 +127,7 @@ def test_serialize_refuses_what_would_not_parse_back(names, tokens, line):
 
 
 def test_serialize_reports_first_line_holding_a_bad_token():
-    registry = build_registry(["w", "t"], [["a", "b"], ["T", "U\r"]])
+    registry = AlphabetRegistry(["w", "t"], [["a", "b"], ["T", "U\r"]])
     text = make_text([[0, 0, 1], [2, 3, 3]], registry)
     with pytest.raises(FormatError) as exc:
         serialize_text(text)
@@ -135,7 +135,7 @@ def test_serialize_reports_first_line_holding_a_bad_token():
 
 
 def test_serialize_ignores_bad_tokens_the_text_does_not_hold():
-    registry = build_registry(["w", "t"], [["a", ""], ["T", "U\r"]])
+    registry = AlphabetRegistry(["w", "t"], [["a", ""], ["T", "U\r"]])
     text = make_text([[0], [2]], registry)
     assert parse_text_file(serialize_text(text))[1].n == 1
 
@@ -151,7 +151,7 @@ def test_serialize_round_trips_or_refuses(data):
     names = data.draw(st.lists(adversarial_tokens, min_size=k, max_size=k))
     tokens = data.draw(st.lists(adversarial_tokens, min_size=k, max_size=3 * k, unique=True))
     alphabets = [tokens[v::k] for v in range(k)]
-    registry = build_registry(names, alphabets)
+    registry = AlphabetRegistry(names, alphabets)
     n = data.draw(st.integers(0, 6))
     rows = [[registry.symbol_of(data.draw(st.sampled_from(alphabets[v]))) for _ in range(n)]
             for v in range(k)]
@@ -170,7 +170,7 @@ def test_serialize_round_trips_or_refuses(data):
 @given(st.data())
 def test_serialize_pattern_round_trips_or_refuses(data):
     tokens = data.draw(st.lists(adversarial_tokens, min_size=1, max_size=6, unique=True))
-    registry = build_registry(["w"], [tokens])
+    registry = AlphabetRegistry(["w"], [tokens])
     pattern = resolve_pattern(data.draw(st.lists(st.sampled_from(tokens), min_size=1,
                                                  max_size=5)), registry)
     unwritable = any(not t or set(t) & set(" \t\r\n") for t in pattern.tokens())

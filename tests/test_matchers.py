@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvmatch import (
+    AlphabetRegistry,
     MatchingError,
     RegistryMismatch,
-    build_registry,
     build_shift_table,
     occurs_at,
     resolve_pattern,
@@ -78,7 +78,7 @@ def test_pattern_longer_than_text():
 
 
 def test_unit_pattern_matches_everywhere():
-    reg = build_registry(["w"], [["a"]])
+    reg = AlphabetRegistry(["w"], [["a"]])
     text = make_text([[0, 0, 0]], reg)
     p = resolve_pattern(["a"], reg)
     assert search_naive(text, p) == [0, 1, 2]
@@ -137,7 +137,7 @@ def test_babb_instrumented_counts(babb_instance):
 
 
 def test_naive_instrumented_unit_pattern():
-    reg = build_registry(["w"], [["a"]])
+    reg = AlphabetRegistry(["w"], [["a"]])
     text = make_text([[0, 0, 0]], reg)
     p = resolve_pattern(["a"], reg)
     matches, stats = search_naive_instrumented(text, p)
@@ -146,7 +146,7 @@ def test_naive_instrumented_unit_pattern():
 
 
 def test_naive_first_read_kills_every_window():
-    reg = build_registry(["w"], [["a", "z"]])
+    reg = AlphabetRegistry(["w"], [["a", "z"]])
     text = make_text([[0] * 10], reg)
     p = resolve_pattern(["z", "a"], reg)
     matches, stats = search_naive_instrumented(text, p)
@@ -301,7 +301,7 @@ def test_trace_strictly_increasing_within_bounds():
 def test_single_view_degeneracy_trace():
     rng = random.Random(404)
     alphabet = "abcd"
-    reg = build_registry(["w"], [list(alphabet)])
+    reg = AlphabetRegistry(["w"], [list(alphabet)])
     for _ in range(400):
         n = rng.randint(1, 120)
         m = rng.randint(1, min(8, max(1, n)))

@@ -1,6 +1,6 @@
 import random
 
-from mvmatch import build_registry, build_shift_table, resolve_pattern
+from mvmatch import AlphabetRegistry, build_shift_table, resolve_pattern
 
 from helpers import char_pattern, char_registry, random_instance, shift_oracle
 
@@ -32,7 +32,7 @@ def test_aaaab_table():
 
 
 def test_unit_pattern_all_shift_one():
-    reg = build_registry(["w"], [["x", "y"]])
+    reg = AlphabetRegistry(["w"], [["x", "y"]])
     table = build_shift_table(resolve_pattern(["x"], reg))
     assert table.default_shift == 1
     for sym in range(reg.num_symbols):
@@ -71,7 +71,7 @@ def test_single_view_matches_classic_table():
     alphabet = "abcdef"
     for _ in range(200):
         s = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
-        reg = build_registry(["w"], [list(alphabet)])
+        reg = AlphabetRegistry(["w"], [list(alphabet)])
         table = build_shift_table(resolve_pattern(list(s), reg))
         m = len(s)
         classic = {}

@@ -5,9 +5,11 @@ import pytest
 from mvmatch import (
     GenConfig,
     InvalidConfig,
+    RegistryMismatch,
     generate_instance,
     generate_instance_with_start,
     occurs_at,
+    search_horspool,
     search_naive,
 )
 
@@ -47,6 +49,16 @@ def test_determinism():
     b_text, b_pat = generate_instance(cfg)
     assert a_text.views == b_text.views
     assert a_pat.symbols == b_pat.symbols
+
+
+def test_each_instance_owns_its_registry():
+    cfg = GenConfig(k=2, n=50, sigma=4, m=3, seed=5)
+    a_text, _ = generate_instance(cfg)
+    b_text, b_pat = generate_instance(cfg)
+    assert a_text.registry is not b_text.registry
+    for search in (search_horspool, search_naive):
+        with pytest.raises(RegistryMismatch):
+            search(a_text, b_pat)
 
 
 def test_different_seeds_differ():
