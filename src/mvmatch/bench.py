@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .matchers import KERNELS
-from .synth import GenConfig, InvalidConfig, generate_instance
+from .synth import GenConfig, InvalidConfig, _generate, _registry
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,16 @@ def run_benchmark(config: BenchConfig) -> list[BenchRow]:
     """One row per (m, algorithm), m ascending then algorithm name; each
     distinct m runs once."""
     rows: list[BenchRow] = []
+    # One registry for the run: at large sigma building the k*sigma tokens
+    # costs as much as drawing an instance.  Each text meets only its own
+    # pattern, so sharing changes no count.
+    registry = _registry(config.k, config.sigma)
     for m in sorted(set(config.m_values)):
         per_alg = [BenchRow(m=m, algorithm=a) for a in sorted(KERNELS)]
         for index in range(config.instances_per_m):
-            text, pattern = generate_instance(GenConfig(
+            text, pattern, _ = _generate(GenConfig(
                 k=config.k, n=config.n, sigma=config.sigma, m=m,
-                seed=instance_seed(config.seed, m, index)))
+                seed=instance_seed(config.seed, m, index)), registry)
             for row in per_alg:
                 fast, instrumented = KERNELS[row.algorithm]
                 row.instances += 1

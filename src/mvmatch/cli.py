@@ -133,8 +133,8 @@ def cmd_bench(args) -> int:
             print(f"m={m}: no windows (m > n)")
             continue
         nv, hs = row_of[m, "naive"], row_of[m, "horspool"]
-        # m <= n: every instance has at least one alignment of k >= 1 reads,
-        # and a timed search takes a nonzero time
+        # m <= n: every instance has at least one alignment of R >= 1 reads,
+        # one per view the pattern uses, and a timed search takes a nonzero time
         read_ratio = nv.total_symbol_reads / hs.total_symbol_reads
         line = f"m={m}: read ratio naive/horspool = {read_ratio:.3f}"
         if config.timed:

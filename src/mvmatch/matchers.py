@@ -6,22 +6,26 @@ All searchers return every overlapping occurrence as a sorted list of
 instrumented kernels additionally return SearchStats: the window positions
 tried (the alignment trace) and the text-symbol reads the convention below
 counts, the machine-independent work measures for benchmarking.  Both
-Horspool kernels run one alignment loop, a generator that looks each
-view's shift up in a dense list indexed by symbol id.  The fast kernel
+Horspool kernels run one alignment loop, a generator that looks a shift
+up in a dense list indexed by symbol id, for each view of p[0..m-2] only:
+a view the pattern leaves out there always shifts by m.  The fast kernel
 keeps only the windows whose last symbol matches, the instrumented one
 every window tried; both verify those hits one offset at a time.  The
 naive tries every window in Python, so its cost hangs on n and m, not on
 how common the pattern's symbols are in the text.  Text symbol ids must
 lie in [0, num_symbols) of the text's registry, as every constructor in
-the package gives.  Only the Horspool kernels index by a text symbol: there
-a larger id raises IndexError, and a negative one reads another symbol's
+the package gives.  Only the Horspool kernels index by a text symbol, and
+only in the views of p[0..m-2], at each window's last position: there a
+larger id raises IndexError, and a negative one reads another symbol's
 shift, which can change the trace and the reads (never the matches)
-without an error.  The naive kernels only compare symbols.
+without an error.  Elsewhere, and in the naive kernels, symbols are only
+compared.
 
-Counting convention: at each Horspool alignment the k reads used for the
-shift (one per view, all at the window's last position) count as k reads;
-the read of the last pattern symbol's view is shared with the last-character
-comparison and is not double-counted.  Verification reads of the remaining
+Counting convention: at each Horspool alignment, R reads, where R is the
+number of distinct views among the pattern's symbols.  These are the
+shift step's reads of the views of p[0..m-2] and the last-character
+comparison's read of p[m-1]'s view, all at the window's last position; a
+view read by both counts once.  Verification reads of the remaining
 offsets count one each, stopping at the first mismatch.
 """
 
@@ -86,21 +90,31 @@ def _pattern_rows(text: MultiViewText, pattern: Pattern):
 def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable | None):
     """Yield, in order, the windows multi-view Horspool tries, each shifting
     by the minimum bad-character offset over all views at the window's last
-    position.  A generator, so that the fast kernel keeps no trace."""
+    position.  A generator, so that the fast kernel keeps no trace.
+
+    Only the views of p[0..m-2], the rows, are read: a symbol of any other
+    view shifts by m, which no row exceeds, so the minimum over the rows is
+    the minimum over all k views.  With m=1 there are no rows, every shift
+    is 1 and every window is tried.
+    """
     if table is None:
         table = ShiftTable(pattern)
     elif table.symbols != pattern.symbols:
         raise MatchingError("the shift table was built for another pattern")
+    view_of = text.registry.symbol_to_view
+    views = text.views
+    rows = [views[v] for v in sorted({view_of[s] for s in pattern.symbols[:-1]})]
+    if not rows:
+        yield from range(text.n)
+        return
     shift = [table.default_shift] * text.registry.num_symbols
     for symbol, distance in table.shifts.items():
         shift[symbol] = distance
-    views = text.views
     last = pattern.m - 1
-    limit = text.n - pattern.m  # the last window start; < 0 if m > n
-    j = 0
-    while j <= limit:
-        yield j
-        j += min([shift[row[j + last]] for row in views])
+    end, n = last, text.n  # the window's last position; none if m > n
+    while end < n:
+        yield end - last
+        end += min([shift[row[end]] for row in rows])
 
 
 def _verify(rows, starts):
@@ -137,8 +151,9 @@ def search_naive_instrumented(
 
 
 def _verify_hits(rows, windows):
-    """_verify over the windows whose last symbol matches, which the shift
-    step has already read."""
+    """_verify over the windows whose last symbol matches.  That comparison
+    is a read the counting convention charges to the alignment, shared with
+    the shift step when p[m-1]'s view is also one of p[0..m-2]'s."""
     (last_row, last_sym), last = rows[-1], len(rows) - 1
     return _verify(rows[:-1], [j for j in windows if last_row[j + last] == last_sym])
 
@@ -146,9 +161,10 @@ def _verify_hits(rows, windows):
 def search_horspool(
     text: MultiViewText, pattern: Pattern, table: ShiftTable | None = None
 ) -> list[int]:
-    """Multi-view Horspool: shift by the minimum bad-character offset over all
-    views at the window's last position, then verify the windows whose last
-    symbol matched.
+    """Multi-view Horspool: shift by the minimum bad-character offset over the
+    views of p[0..m-2] at the window's last position, which equals the
+    minimum over all views, then verify the windows whose last symbol
+    matched.
 
     A shift table built for this pattern may be passed; that saves only
     building its (m-1)-entry dict, as the dense list is rebuilt on every
@@ -165,8 +181,11 @@ def search_horspool_instrumented(
     rows = _pattern_rows(text, pattern)
     trace = list(_horspool_windows(text, pattern, None))
     matches, reads = _verify_hits(rows, trace)
-    # the k shift reads per alignment; the last-symbol view's read is shared
-    return matches, SearchStats(trace, reads + len(text.views) * len(trace), len(matches))
+    # R reads per alignment, one per distinct view of the pattern: the shift
+    # step's rows and the last symbol's view, whose read a row may share
+    view_of = text.registry.symbol_to_view
+    r = len({view_of[s] for s in pattern.symbols})
+    return matches, SearchStats(trace, reads + r * len(trace), len(matches))
 
 
 # algorithm -> (fast kernel, instrumented kernel)

@@ -8,7 +8,9 @@ guarantees at least one occurrence.
 View v's tokens render as ``v<v>_<index>`` so generated instances survive
 a round trip through the multi-track text format.  Determinism holds
 within this implementation: equal configs yield equal views and symbols,
-each instance under its own registry, as every parsed text has.
+each generated instance under its own registry, as every parsed text has.
+`mvmatch bench` alone shares one registry across the instances of a run,
+which it never searches across.
 """
 
 from __future__ import annotations
@@ -61,14 +63,25 @@ def generate_instance_with_start(
 ) -> tuple[MultiViewText, Pattern, int | None]:
     """Like generate_instance, also returning the planted window position
     (None in uniform mode)."""
-    import numpy as np  # here, not at module top: `mvmatch search` never needs it
+    return _generate(config, _registry(config.k, config.sigma))
 
-    k, n, sigma, m = config.k, config.n, config.sigma, config.m
-    # k views of sigma tokens each: the symbol of (v, i) is v*sigma + i
-    registry = AlphabetRegistry(
+
+def _registry(k: int, sigma: int) -> AlphabetRegistry:
+    """k views of sigma tokens each: the symbol of (v, i) is v*sigma + i."""
+    return AlphabetRegistry(
         [f"v{v}" for v in range(k)],
         [[f"v{v}_{i}" for i in range(sigma)] for v in range(k)],
     )
+
+
+def _generate(
+    config: GenConfig, registry: AlphabetRegistry
+) -> tuple[MultiViewText, Pattern, int | None]:
+    """generate_instance_with_start under a given _registry(config.k,
+    config.sigma), so that a caller can share one across instances."""
+    import numpy as np  # here, not at module top: `mvmatch search` never needs it
+
+    k, n, sigma, m = config.k, config.n, config.sigma, config.m
     rng = np.random.default_rng(config.seed)
 
     raw = rng.integers(0, sigma, size=(k, n))

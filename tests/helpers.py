@@ -146,6 +146,15 @@ def naive_symbol_reads(text: MultiViewText, pattern: Pattern) -> int:
     return reads
 
 
+def pattern_view_count(text: MultiViewText, pattern: Pattern) -> int:
+    """R, the Horspool reads per alignment: the views that hold at least one
+    pattern symbol.  Each is read once at the window's last position, by the
+    shift step or by the last-symbol comparison, or by both as one read."""
+    view_of = text.registry.symbol_to_view
+    return sum(1 for v in range(text.registry.k)
+               if any(view_of[sym] == v for sym in pattern.symbols))
+
+
 def multiview_horspool_trace(text: MultiViewText, pattern: Pattern) -> tuple[list[int], int]:
     """Windows a multi-view Horspool scan tries, and its verification reads.
 

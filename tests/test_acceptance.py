@@ -257,7 +257,7 @@ def test_criterion_8_pinned_counts(tmp_path, capsys):
     capsys.readouterr()
     assert path.read_text() == (
         "m,algorithm,instances,total_time_s,total_symbol_reads,total_alignments,total_matches\n"
-        "2,horspool,5,0.0,12094,5532,373\n"
+        "2,horspool,5,0.0,8777,5532,373\n"
         "2,naive,5,0.0,11957,9995,373\n"
         "6,horspool,5,0.0,6246,2727,0\n"
         "6,naive,5,0.0,12365,9975,0\n"

@@ -2,8 +2,9 @@ import io
 
 import pytest
 
-from mvmatch import InvalidConfig, bench
+from mvmatch import GenConfig, InvalidConfig, bench, generate_instance, synth
 from mvmatch.bench import BenchConfig, BenchRow, instance_seed, run_benchmark, write_csv
+from mvmatch.matchers import KERNELS
 
 
 def small_config(**overrides):
@@ -33,10 +34,10 @@ def test_invalid_configs():
 
 
 def test_every_m_validated_before_any_instance(monkeypatch):
-    def generate(config):
+    def generate(config, registry):
         raise AssertionError(f"generated an instance for m={config.m}")
 
-    monkeypatch.setattr(bench, "generate_instance", generate)
+    monkeypatch.setattr(bench, "_generate", generate)
     with pytest.raises(InvalidConfig, match="m must be >= 1, got 0"):
         run_benchmark(BenchConfig(k=2, n=50, sigma=3, m_values=(2, 0), instances_per_m=1,
                                   seed=0))
@@ -85,6 +86,30 @@ def test_counts_reproducible():
         (r.m, r.algorithm, r.total_symbol_reads, r.total_alignments, r.total_matches)
         for r in b
     ]
+
+
+def test_one_registry_per_run_changes_no_count(monkeypatch):
+    built = []
+
+    def registry(k, sigma):
+        built.append((k, sigma))
+        return synth._registry(k, sigma)
+
+    monkeypatch.setattr(bench, "_registry", registry)
+    config = small_config()
+    rows = run_benchmark(config)
+    assert built == [(config.k, config.sigma)]
+    # the counts of instances that each own their registry
+    for r in rows:
+        totals = [0, 0, 0]
+        for index in range(config.instances_per_m):
+            text, pattern = generate_instance(GenConfig(
+                k=config.k, n=config.n, sigma=config.sigma, m=r.m,
+                seed=instance_seed(config.seed, r.m, index)))
+            _, stats = KERNELS[r.algorithm][1](text, pattern)
+            totals = [a + b for a, b in zip(totals, (
+                stats.symbol_reads, stats.alignments, stats.matches_found))]
+        assert [r.total_symbol_reads, r.total_alignments, r.total_matches] == totals
 
 
 def test_instance_seed_deterministic_and_distinct():

@@ -552,10 +552,10 @@ class TestCmdBench:
         assert not (tmp_path / "b.csv").exists()
 
     def test_unwritable_csv_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
-        def generate(config):
+        def generate(config, registry):
             raise AssertionError(f"generated an instance for m={config.m}")
 
-        monkeypatch.setattr(bench, "generate_instance", generate)
+        monkeypatch.setattr(bench, "_generate", generate)
         code = main(["bench", "--n", "100", "--m-list", "2", "30", "--instances", "1",
                      "--csv", str(tmp_path / "missing" / "b.csv"), "--counts-only"])
         assert code == 2
@@ -570,10 +570,10 @@ class TestCmdBench:
 
     @pytest.mark.parametrize("message, expected", OUT_OF_MEMORY)
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, message, expected):
-        def generate(config):
+        def generate(config, registry):
             raise MemoryError(message)
 
-        monkeypatch.setattr(bench, "generate_instance", generate)
+        monkeypatch.setattr(bench, "_generate", generate)
         code = main(["bench", "--k", "1", "--n", "1000000000000", "--sigma", "2", "--m-list", "1",
                      "--instances", "1", "--csv", str(tmp_path / "b.csv"), "--counts-only"])
         assert code == 2
@@ -581,10 +581,10 @@ class TestCmdBench:
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupt_keeps_existing_csv(self, tmp_path, capsys, monkeypatch):
-        def generate(config):
+        def generate(config, registry):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(bench, "generate_instance", generate)
+        monkeypatch.setattr(bench, "_generate", generate)
         path = tmp_path / "b.csv"
         path.write_bytes(b"earlier run\n")
         with pytest.raises(KeyboardInterrupt):
@@ -596,10 +596,10 @@ class TestCmdBench:
     @pytest.mark.parametrize("kind", ["directory", "fifo", "symlink to fifo"])
     def test_non_regular_csv_fails_before_the_run(self, tmp_path, capsys, monkeypatch, kind):
         # a device or FIFO, such as /dev/null, must never be replaced by a regular file
-        def generate(config):
+        def generate(config, registry):
             raise AssertionError(f"generated an instance for m={config.m}")
 
-        monkeypatch.setattr(bench, "generate_instance", generate)
+        monkeypatch.setattr(bench, "_generate", generate)
         target = tmp_path / "target"
         if kind == "directory":
             target.mkdir()

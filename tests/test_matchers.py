@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mvmatch import (
     AlphabetRegistry,
     MatchingError,
+    Pattern,
     RegistryMismatch,
     build_shift_table,
     occurs_at,
@@ -30,6 +31,7 @@ from helpers import (
     multiview_horspool_trace,
     naive_symbol_reads,
     oracle_scan,
+    pattern_view_count,
     random_instance,
     random_pattern,
 )
@@ -200,7 +202,74 @@ def test_kernels_and_counts_match_oracles(instance):
     trace, verify_reads = multiview_horspool_trace(text, pattern)
     assert matches == expected and stats.matches_found == len(expected)
     assert list(stats.trace) == trace and stats.alignments == len(trace)
-    assert stats.symbol_reads == text.registry.k * len(trace) + verify_reads
+    assert stats.symbol_reads == pattern_view_count(text, pattern) * len(trace) + verify_reads
+
+
+@st.composite
+def view_subset_instances(draw):
+    """Instances whose pattern is drawn from a random nonempty subset of the
+    k in [1, 5] views, uniform over its symbols or planted from a window of
+    those views; sigma in [1, 4], n in [1, 40], m in [1, n + 2]."""
+    k = draw(st.integers(1, 5))
+    sigma = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n + 2))
+    chosen = draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))
+    planted = m <= n and draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    text, _, _ = random_instance(rng, k, n, sigma, 1)
+    if planted:
+        start = rng.randrange(n - m + 1)
+        symbols = [text.views[rng.choice(chosen)][start + q] for q in range(m)]
+    else:
+        view_of = text.registry.symbol_to_view
+        pool = [s for s in range(text.registry.num_symbols) if view_of[s] in chosen]
+        symbols = [rng.choice(pool) for _ in range(m)]
+    return text, Pattern(tuple(symbols), text.registry)
+
+
+@settings(max_examples=400, deadline=None)
+@given(view_subset_instances())
+def test_horspool_reads_only_the_pattern_views(instance):
+    text, pattern = instance
+    expected = [i for i in range(text.n - pattern.m + 1) if occurs_at(text, pattern, i)]
+    assert search_horspool(text, pattern) == expected
+    matches, stats = search_horspool_instrumented(text, pattern)
+    trace, verify_reads = multiview_horspool_trace(text, pattern)
+    assert matches == expected and stats.trace == trace
+    assert stats.symbol_reads == pattern_view_count(text, pattern) * len(trace) + verify_reads
+
+
+def _five_view_registry():
+    return AlphabetRegistry([f"v{v}" for v in range(5)],
+                            [[f"{v}{c}" for c in "ab"] for v in range(5)])
+
+
+def test_pattern_over_one_of_five_views_reads_one_view():
+    reg = _five_view_registry()
+    rows = [[reg.symbol_of(f"{v}{c}") for c in "abaababa"] for v in range(5)]
+    text = make_text(rows, reg)
+    p = resolve_pattern(["2a", "2a", "2b"], reg)
+    matches, stats = search_horspool_instrumented(text, p)
+    assert matches == search_horspool(text, p) == [2]
+    assert stats.trace == [0, 1, 2, 5]
+    # one read per alignment, plus the two verification reads at window 2
+    assert stats.symbol_reads == 4 * 1 + 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_unit_pattern_tries_every_window_and_reads_one_view(n):
+    reg = _five_view_registry()
+    rows = [[reg.symbol_of(f"{v}{'ab'[i % 2]}") for i in range(n)] for v in range(5)]
+    text = make_text(rows, reg)
+    p = resolve_pattern(["3a"], reg)
+    expected = list(range(0, n, 2))
+    assert search_horspool(text, p) == search_horspool(text, p, build_shift_table(p)) == expected
+    matches, stats = search_horspool_instrumented(text, p)
+    assert matches == expected and stats.trace == list(range(n))
+    assert stats.symbol_reads == n
+    with pytest.raises(MatchingError, match="built for another pattern"):
+        search_horspool(text, p, build_shift_table(resolve_pattern(["3b"], reg)))
 
 
 def test_bitset_oracle_agrees_with_oracle_scan():
@@ -230,7 +299,7 @@ def _naive_counts(text, pattern):
 
 def _horspool_counts(text, pattern):
     trace, verify_reads = multiview_horspool_trace(text, pattern)
-    return trace, text.registry.k * len(trace) + verify_reads
+    return trace, pattern_view_count(text, pattern) * len(trace) + verify_reads
 
 
 # algorithm -> oracle of its instrumented kernel's (trace, symbol_reads)
