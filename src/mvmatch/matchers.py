@@ -8,25 +8,28 @@ tried (the alignment trace) and the text-symbol reads the convention below
 counts, the machine-independent work measures for benchmarking.  Both
 Horspool kernels run one alignment loop, a generator that looks a shift
 up in a dense list indexed by symbol id, for each view of p[0..m-2] only:
-a view the pattern leaves out there always shifts by m.  The fast kernel
-keeps only the windows whose last symbol matches, the instrumented one
-every window tried; both verify those hits one offset at a time.  The
-naive tries every window in Python, so its cost hangs on n and m, not on
-how common the pattern's symbols are in the text.  Text symbol ids must
-lie in [0, num_symbols) of the text's registry, as every constructor in
-the package gives.  Only the Horspool kernels index by a text symbol, and
-only in the views of p[0..m-2], at each window's last position: there a
-larger id raises IndexError, and a negative one reads another symbol's
-shift, which can change the trace and the reads (never the matches)
-without an error.  Elsewhere, and in the naive kernels, symbols are only
-compared.
+a view the pattern leaves out there always shifts by m.  Up to three such
+views step with one three-lookup min, a view repeated to make three; more
+step with a list min.  The fast kernel keeps only the windows whose last
+symbol matches, the instrumented one every window tried; both verify
+those hits one offset at a time.  The naive tries every window in Python,
+over (offset, view, symbol) triples built once, so its cost hangs on n and
+m, not on how common the pattern's symbols are in the text.  Text symbol
+ids must lie in [0, num_symbols) of the text's registry, as every
+constructor in the package gives.  Only the Horspool kernels index by a
+text symbol, and only in the views of p[0..m-2], at each window's last
+position: there a larger id raises IndexError, and a negative one reads
+another symbol's shift, which can change the trace and the reads (never
+the matches) without an error.  Elsewhere, and in the naive kernels,
+symbols are only compared.
 
 Counting convention: at each Horspool alignment, R reads, where R is the
 number of distinct views among the pattern's symbols.  These are the
 shift step's reads of the views of p[0..m-2] and the last-character
 comparison's read of p[m-1]'s view, all at the window's last position; a
-view read by both counts once.  Verification reads of the remaining
-offsets count one each, stopping at the first mismatch.
+view read by both counts once, as does a view the shift step looks up
+twice.  Verification reads of the remaining offsets count one each,
+stopping at the first mismatch.
 """
 
 from __future__ import annotations
@@ -96,6 +99,10 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
     view shifts by m, which no row exceeds, so the minimum over the rows is
     the minimum over all k views.  With m=1 there are no rows, every shift
     is 1 and every window is tried.
+
+    Up to three rows step with min(x, y, z), a row repeated to make three:
+    a duplicate lookup at the same position, which the counting convention
+    does not charge (still R reads per alignment).  More use a list min.
     """
     if table is None:
         table = ShiftTable(pattern)
@@ -112,9 +119,15 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
         shift[symbol] = distance
     last = pattern.m - 1
     end, n = last, text.n  # the window's last position; none if m > n
+    if len(rows) > 3:
+        while end < n:
+            yield end - last
+            end += min([shift[row[end]] for row in rows])
+        return
+    a, b, c = (rows * 3)[:3]
     while end < n:
         yield end - last
-        end += min([shift[row[end]] for row in rows])
+        end += min(shift[a[end]], shift[b[end]], shift[c[end]])
 
 
 def _verify(rows, starts):
@@ -129,12 +142,13 @@ def _verify(rows, starts):
 
 
 def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
-    """Try every window, comparing offsets left to right until mismatch."""
+    """Try every window, comparing offsets left to right until mismatch;
+    the (q, row, symbol) triples are built once per call."""
     matches: list[int] = []
-    rows = _pattern_rows(text, pattern)
+    offsets = [(q, row, sym) for q, (row, sym) in enumerate(_pattern_rows(text, pattern))]
     # empty when m > n
     for i in range(text.n - pattern.m + 1):
-        for q, (row, sym) in enumerate(rows):
+        for q, row, sym in offsets:
             if row[i + q] != sym:
                 break
         else:

@@ -257,6 +257,40 @@ def test_pattern_over_one_of_five_views_reads_one_view():
     assert stats.symbol_reads == 4 * 1 + 2
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_every_shift_step_over_exactly_r_of_five_views(r):
+    """Patterns over exactly r views, so the Horspool step runs with every
+    row count from 0 (m=1) to r: three or fewer rows take the three-lookup
+    step, a repeated row included, and four or five the list step."""
+    rng = random.Random(4000 + r)
+    reg = _five_view_registry()
+    n = 40
+    rows = [[reg.symbol_of(f"{v}{rng.choice('ab')}") for _ in range(n)] for v in range(5)]
+    text = make_text(rows, reg)
+    chosen = rng.sample(range(5), r)
+    view_of = reg.symbol_to_view
+    row_counts = set()
+    for m in sorted({*range(1, r + 2), r + 3, 12, n, n + 2}):
+        views = [chosen[q % r] for q in range(m)]
+        for planted in ([False, True] if m <= n else [False]):
+            for _ in range(3):
+                start = rng.randrange(n - m + 1) if planted else None
+                symbols = [rows[v][start + q] if planted else reg.symbol_of(f"{v}{rng.choice('ab')}")
+                           for q, v in enumerate(views)]
+                p = Pattern(tuple(symbols), reg)
+                row_counts.add(len({view_of[s] for s in symbols[:-1]}))
+                assert pattern_view_count(text, p) == min(m, r)
+                expected = [i for i in range(n - m + 1) if occurs_at(text, p, i)]
+                assert search_horspool(text, p) == expected
+                assert search_horspool(text, p, build_shift_table(p)) == expected
+                assert search_naive(text, p) == expected
+                matches, stats = search_horspool_instrumented(text, p)
+                trace, verify_reads = multiview_horspool_trace(text, p)
+                assert matches == expected and stats.trace == trace
+                assert stats.symbol_reads == min(m, r) * len(trace) + verify_reads
+    assert row_counts == set(range(r + 1))
+
+
 @pytest.mark.parametrize("n", [0, 1, 7])
 def test_unit_pattern_tries_every_window_and_reads_one_view(n):
     reg = _five_view_registry()
