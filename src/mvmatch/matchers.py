@@ -9,12 +9,13 @@ counts, the machine-independent work measures for benchmarking.  Both
 Horspool kernels run one alignment loop, a generator that looks a shift
 up in a dense list indexed by symbol id, for each view of p[0..m-2] only:
 a view the pattern leaves out there always shifts by m.  Up to three such
-views step with one three-lookup min, a view repeated to make three; more
-step with a list min.  The fast kernel keeps only the windows whose last
-symbol matches, the instrumented one every window tried; both verify
-those hits one offset at a time.  The naive tries every window in Python,
-over (offset, view, symbol) triples built once, so its cost hangs on n and
-m, not on how common the pattern's symbols are in the text.  Text symbol
+views step with three lookups and two compares, a view repeated to make
+three; more step with a list min.  The fast kernel keeps only the windows
+whose last symbol matches, the instrumented one every window tried; both
+verify those hits one offset at a time.  Both naive kernels run that same
+check over every window: each offset filters a list of the windows that
+held so far, so the naive's cost follows how many windows survive each
+offset, and it holds one O(n) list of candidates.  Text symbol
 ids must lie in [0, num_symbols) of the text's registry, as every
 constructor in the package gives.  Only the Horspool kernels index by a
 text symbol, and only in the views of p[0..m-2], at each window's last
@@ -100,9 +101,10 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
     the minimum over all k views.  With m=1 there are no rows, every shift
     is 1 and every window is tried.
 
-    Up to three rows step with min(x, y, z), a row repeated to make three:
-    a duplicate lookup at the same position, which the counting convention
-    does not charge (still R reads per alignment).  More use a list min.
+    Up to three rows a, b, c step by their minimum in two compares, a row
+    repeated to make three: a duplicate lookup at the same position, which
+    the counting convention does not charge (still R reads per alignment).
+    More use a list min.
     """
     if table is None:
         table = ShiftTable(pattern)
@@ -127,7 +129,12 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
     a, b, c = (rows * 3)[:3]
     while end < n:
         yield end - last
-        end += min(shift[a[end]], shift[b[end]], shift[c[end]])
+        s = shift[a[end]]
+        t = shift[b[end]]
+        u = shift[c[end]]
+        if t < s:
+            s = t
+        end += u if u < s else s
 
 
 def _verify(rows, starts):
@@ -142,18 +149,9 @@ def _verify(rows, starts):
 
 
 def search_naive(text: MultiViewText, pattern: Pattern) -> list[int]:
-    """Try every window, comparing offsets left to right until mismatch;
-    the (q, row, symbol) triples are built once per call."""
-    matches: list[int] = []
-    offsets = [(q, row, sym) for q, (row, sym) in enumerate(_pattern_rows(text, pattern))]
-    # empty when m > n
-    for i in range(text.n - pattern.m + 1):
-        for q, row, sym in offsets:
-            if row[i + q] != sym:
-                break
-        else:
-            matches.append(i)
-    return matches
+    """Try every window, offset by offset, as the instrumented naive does:
+    each offset keeps the windows that held at every offset before it."""
+    return _verify(_pattern_rows(text, pattern), range(text.n - pattern.m + 1))[0]
 
 
 def search_naive_instrumented(

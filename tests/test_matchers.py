@@ -306,6 +306,88 @@ def test_unit_pattern_tries_every_window_and_reads_one_view(n):
         search_horspool(text, p, build_shift_table(resolve_pattern(["3b"], reg)))
 
 
+# Tokens "<view letter><digit>": with "abc" views, a0, b0 and c0 are
+# fillers every pattern below leaves out, so each shifts by m.
+_COMPARE_CASES = {
+    # Three rows a, b, c with shifts a1 6, b1 5, c1 4, a2 3, b2 2, c2 1.
+    # Distinct views never share a shift below m, so three rows tie only
+    # at m, where all three do.
+    "three rows": (["a1", "b1", "c1", "a2", "b2", "c2", "a3"], [
+        (("a2", "b1", "c1"), 3),  # row a; c below b, so a compare of c with b alone fails
+        (("a1", "b2", "c1"), 2),  # row b
+        (("a2", "b1", "c2"), 1),  # row c
+        (("a0", "b0", "c1"), 4),  # row c, a and b tied at m above it
+        (("a3", "b1", "c0"), 5),  # row b, a and c tied at m; last symbol matches
+        (("a2", "b0", "c0"), 3),  # row a, b and c tied at m
+        (("a0", "b0", "c0"), 7),  # three-way tie at m
+    ]),
+    # Two rows padded to three, c repeating a: a min from row a is a
+    # two-way tie of a and c.  Shifts a1 4, b1 3, a2 2, b2 1.
+    "two rows": (["a1", "b1", "a2", "b2", "a3"], [
+        (("a2", "b1", "c0"), 2),  # rows a and c, a two-way tie
+        (("a1", "b2", "c0"), 1),  # row b
+        (("a3", "b1", "c0"), 3),  # row b; last symbol matches
+        (("a0", "b0", "c0"), 5),  # three-way tie at m
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMPARE_CASES))
+def test_two_compare_shift_step_takes_each_row_and_tie(case):
+    """A hand-built three-view text whose successive alignments take their
+    minimum shift from row a, b and c in turn, and from ties, then end on a
+    planted occurrence."""
+    tokens, plan = _COMPARE_CASES[case]
+    reg = AlphabetRegistry(["a", "b", "c"], [[f"{v}{d}" for d in range(4)] for v in "abc"])
+    p = resolve_pattern(tokens, reg)
+    m = p.m
+    rows = [[], [], []]
+    trace = []
+    end = m - 1
+    for ends_at, shift in plan:
+        for row, token in zip(rows, ends_at):
+            row.extend([f"{token[0]}0"] * (end - len(row)) + [token])
+        trace.append(end - m + 1)
+        end += shift
+    start = end - m + 1
+    for v, row in zip("abc", rows):
+        row.extend([f"{v}0"] * (start + m - len(row)))
+    for q, token in enumerate(tokens):
+        rows["abc".index(token[0])][start + q] = token
+    text = make_text([[reg.symbol_of(t) for t in row] for row in rows], reg)
+    trace.append(start)
+    expected = [i for i in range(text.n - m + 1) if occurs_at(text, p, i)]
+    assert expected[-1] == start
+    oracle_trace, verify_reads = multiview_horspool_trace(text, p)
+    assert oracle_trace == trace
+    assert search_horspool(text, p) == search_horspool(text, p, build_shift_table(p)) == expected
+    matches, stats = search_horspool_instrumented(text, p)
+    assert matches == expected and stats.trace == trace
+    assert stats.symbol_reads == pattern_view_count(text, p) * len(trace) + verify_reads
+
+
+@pytest.mark.parametrize("sigma", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_offset_major_naive_at_its_edges(n, sigma):
+    """The naive keeps a list of surviving windows per offset: at sigma=1
+    every window survives every offset; m=n leaves one window and m>n
+    none, still a list."""
+    reg = AlphabetRegistry(["a", "b", "c"], [[f"{v}{d}" for d in range(sigma)] for v in "abc"])
+    rng = random.Random(700 + 10 * n + sigma)
+    text = make_text([[reg.symbol_of(f"{v}{rng.randrange(sigma)}") for _ in range(n)]
+                      for v in "abc"], reg)
+    for m in sorted({1, n, n + 1} - {0}):
+        p = resolve_pattern([f"{rng.choice('abc')}{rng.randrange(sigma)}" for _ in range(m)], reg)
+        expected = [i for i in range(n - m + 1) if occurs_at(text, p, i)]
+        found = search_naive(text, p)
+        matches, stats = search_naive_instrumented(text, p)
+        assert type(found) is list
+        assert found == expected == matches
+        assert stats.symbol_reads == naive_symbol_reads(text, p)
+        if sigma == 1:
+            assert found == list(range(n - m + 1))
+
+
 def test_bitset_oracle_agrees_with_oracle_scan():
     rng = random.Random(2718)
     for _ in range(1000):
