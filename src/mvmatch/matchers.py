@@ -10,19 +10,20 @@ Horspool kernels run one alignment loop, a generator that looks a shift
 up in a dense list indexed by symbol id, for each view of p[0..m-2] only:
 a view the pattern leaves out there always shifts by m.  Up to three such
 views step with three lookups and two compares, a view repeated to make
-three; more step with a list min.  The fast kernel keeps only the windows
-whose last symbol matches, the instrumented one every window tried; both
-verify those hits one offset at a time.  Both naive kernels run that same
-check over every window: each offset filters a list of the windows that
-held so far, so the naive's cost follows how many windows survive each
-offset, and it holds one O(n) list of candidates.  Text symbol
-ids must lie in [0, num_symbols) of the text's registry, as every
-constructor in the package gives.  Only the Horspool kernels index by a
-text symbol, and only in the views of p[0..m-2], at each window's last
-position: there a larger id raises IndexError, and a negative one reads
-another symbol's shift, which can change the trace and the reads (never
-the matches) without an error.  Elsewhere, and in the naive kernels,
-symbols are only compared.
+three; more step with a list min.  The fast kernel tests the last symbol
+inside that loop, which yields only the windows where it matches; the
+instrumented kernel's test always holds, so it gets every window tried and
+tests the last symbol after.  Both verify those hits one offset at a time,
+offset 0 read as row[i].  Both naive kernels run that same check over
+every window: each offset filters a list of the windows that held so far,
+so the naive's cost follows how many windows survive each offset, and it
+holds one O(n) list of candidates.  Text symbol ids must lie in
+[0, num_symbols) of the text's registry, as every constructor in the
+package gives.  Only the Horspool kernels index by a text symbol, and only
+in the views of p[0..m-2], at each window's last position: there a larger
+id raises IndexError, and a negative one reads another symbol's shift,
+which can change the trace and the reads (never the matches) without an
+error.  Elsewhere, and in the naive kernels, symbols are only compared.
 
 Counting convention: at each Horspool alignment, R reads, where R is the
 number of distinct views among the pattern's symbols.  These are the
@@ -91,10 +92,12 @@ def _pattern_rows(text: MultiViewText, pattern: Pattern):
     return [(views[view_of[s]], s) for s in pattern.symbols]
 
 
-def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable | None):
-    """Yield, in order, the windows multi-view Horspool tries, each shifting
-    by the minimum bad-character offset over all views at the window's last
-    position.  A generator, so that the fast kernel keeps no trace.
+def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable | None,
+                      test_row: Sequence[int], test_sym: int):
+    """Yield, in order, the windows multi-view Horspool tries whose last
+    position holds test_sym in test_row, each shifting by the minimum
+    bad-character offset over all views there.  A generator that tests in
+    its loop, so that the fast kernel keeps no trace and resumes on hits only.
 
     Only the views of p[0..m-2], the rows, are read: a symbol of any other
     view shifts by m, which no row exceeds, so the minimum over the rows is
@@ -114,7 +117,7 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
     views = text.views
     rows = [views[v] for v in sorted({view_of[s] for s in pattern.symbols[:-1]})]
     if not rows:
-        yield from range(text.n)
+        yield from (end for end in range(text.n) if test_row[end] == test_sym)
         return
     shift = [table.default_shift] * text.registry.num_symbols
     for symbol, distance in table.shifts.items():
@@ -123,12 +126,14 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
     end, n = last, text.n  # the window's last position; none if m > n
     if len(rows) > 3:
         while end < n:
-            yield end - last
+            if test_row[end] == test_sym:
+                yield end - last
             end += min([shift[row[end]] for row in rows])
         return
     a, b, c = (rows * 3)[:3]
     while end < n:
-        yield end - last
+        if test_row[end] == test_sym:
+            yield end - last
         s = shift[a[end]]
         t = shift[b[end]]
         u = shift[c[end]]
@@ -140,11 +145,13 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
 def _verify(rows, starts):
     """The starts that hold at every (row, symbol) offset, and the reads a
     left-to-right check of each start makes up to its first mismatch:
-    offset q is read by exactly the starts that held at offsets 0..q-1."""
+    offset q is read by exactly the starts that held at offsets 0..q-1.
+    Offset 0 reads row[i], sparing a new int i + 0 per start."""
     reads = 0
     for q, (row, sym) in enumerate(rows):
         reads += len(starts)
-        starts = [i for i in starts if row[i + q] == sym]
+        starts = ([i for i in starts if row[i + q] == sym] if q
+                  else [i for i in starts if row[i] == sym])
     return starts, reads
 
 
@@ -162,14 +169,6 @@ def search_naive_instrumented(
     return matches, SearchStats(trace, reads, len(matches))
 
 
-def _verify_hits(rows, windows):
-    """_verify over the windows whose last symbol matches.  That comparison
-    is a read the counting convention charges to the alignment, shared with
-    the shift step when p[m-1]'s view is also one of p[0..m-2]'s."""
-    (last_row, last_sym), last = rows[-1], len(rows) - 1
-    return _verify(rows[:-1], [j for j in windows if last_row[j + last] == last_sym])
-
-
 def search_horspool(
     text: MultiViewText, pattern: Pattern, table: ShiftTable | None = None
 ) -> list[int]:
@@ -183,7 +182,7 @@ def search_horspool(
     call.  One built for other symbols is refused.
     """
     rows = _pattern_rows(text, pattern)
-    return _verify_hits(rows, _horspool_windows(text, pattern, table))[0]
+    return _verify(rows[:-1], list(_horspool_windows(text, pattern, table, *rows[-1])))[0]
 
 
 def search_horspool_instrumented(
@@ -191,8 +190,9 @@ def search_horspool_instrumented(
 ) -> tuple[list[int], SearchStats]:
     """search_horspool that also records the alignment trace and the reads."""
     rows = _pattern_rows(text, pattern)
-    trace = list(_horspool_windows(text, pattern, None))
-    matches, reads = _verify_hits(rows, trace)
+    trace = list(_horspool_windows(text, pattern, None, bytes(text.n), 0))  # every window
+    (last_row, last_sym), last = rows[-1], len(rows) - 1
+    matches, reads = _verify(rows[:-1], [j for j in trace if last_row[j + last] == last_sym])
     # R reads per alignment, one per distinct view of the pattern: the shift
     # step's rows and the last symbol's view, whose read a row may share
     view_of = text.registry.symbol_to_view

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvmatch import (
@@ -18,7 +18,7 @@ from mvmatch import (
     search_naive_instrumented,
 )
 
-from mvmatch.matchers import KERNELS
+from mvmatch.matchers import KERNELS, _horspool_windows
 
 from helpers import (
     bitset_positions,
@@ -240,6 +240,32 @@ def test_horspool_reads_only_the_pattern_views(instance):
     assert stats.symbol_reads == pattern_view_count(text, pattern) * len(trace) + verify_reads
 
 
+def _edge_instance(n, m, seed):
+    """A k=3, sigma=2 instance from the independent generator, planted when
+    m <= n."""
+    mode = "planted" if m <= n else "uniform"
+    text, pattern, _ = random_instance(random.Random(seed), 3, n, 2, m, mode)
+    return text, pattern
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_instances())
+@example(_edge_instance(7, 1, 0))  # m=1: no shift rows, every window tried
+@example(_edge_instance(7, 7, 1))  # m=n: one window
+@example(_edge_instance(7, 9, 2))  # m>n: none
+def test_fast_horspool_loop_yields_the_last_symbol_hits_of_the_trace(instance):
+    """Testing p[m-1] inside the alignment loop yields exactly the windows
+    of the instrumented trace whose last symbol matches, in order: the
+    candidates the fast kernel verifies."""
+    text, pattern = instance
+    last = pattern.m - 1
+    sym = pattern.symbols[last]
+    row = text.views[text.registry.symbol_to_view[sym]]
+    trace = search_horspool_instrumented(text, pattern)[1].trace
+    hits = [j for j in trace if row[j + last] == sym]
+    assert list(_horspool_windows(text, pattern, None, row, sym)) == hits
+
+
 def _five_view_registry():
     return AlphabetRegistry([f"v{v}" for v in range(5)],
                             [[f"{v}{c}" for c in "ab"] for v in range(5)])
@@ -386,6 +412,78 @@ def test_offset_major_naive_at_its_edges(n, sigma):
         assert stats.symbol_reads == naive_symbol_reads(text, p)
         if sigma == 1:
             assert found == list(range(n - m + 1))
+
+
+# Out-of-range symbol ids, as the matchers module documents them.  The
+# five-view registry has ten symbols, ids 0..9; views 0..3 of each text
+# below alternate a, b by position, and view 4 is set per test.
+_SHIFT_PATHS = [["0a", "4b"], ["0a", "1b", "2a", "3b", "4b"]]  # 1 row; 4 rows, list min
+
+
+def _alternating_rows(reg, n):
+    return [[reg.symbol_of(f"{v}{'ab'[i % 2]}") for i in range(n)] for v in range(5)]
+
+
+@pytest.mark.parametrize("past", [0, 10**9])
+@pytest.mark.parametrize("tokens", _SHIFT_PATHS)
+def test_an_id_past_the_registry_in_a_shift_view_raises_index_error(tokens, past):
+    """Both Horspool kernels look a shift up by the symbol at the first
+    window's end in p[0]'s view, which holds an id >= num_symbols there;
+    the naive kernels only compare it."""
+    reg = _five_view_registry()
+    rows = _alternating_rows(reg, 12)
+    rows[0][len(tokens) - 1] = reg.num_symbols + past
+    text = make_text(rows, reg)
+    p = resolve_pattern(tokens, reg)
+    for kernel in (search_horspool, search_horspool_instrumented):
+        with pytest.raises(IndexError):
+            kernel(text, p)
+    expected = oracle_scan(text, p)
+    assert search_naive(text, p) == search_naive_instrumented(text, p)[0] == expected
+
+
+@pytest.mark.parametrize("tokens", [["4b"]] + _SHIFT_PATHS)
+def test_an_id_past_the_registry_only_in_the_last_symbols_view_never_matches(tokens):
+    """View 4, which holds only p[m-1], has an id >= num_symbols at two of
+    every three positions, so at tried window ends too: no kernel indexes
+    by it, each only compares it, and it never matches."""
+    reg = _five_view_registry()
+    n = 16
+    rows = _alternating_rows(reg, n)
+    rows[4] = [reg.symbol_of("4b") if i % 3 == 0 else reg.num_symbols + i for i in range(n)]
+    text = make_text(rows, reg)
+    p = resolve_pattern(tokens, reg)
+    m = p.m
+    expected = oracle_scan(text, p)
+    assert expected and all((j + m - 1) % 3 == 0 for j in expected)
+    assert search_horspool(text, p) == expected
+    matches, stats = search_horspool_instrumented(text, p)
+    trace, verify_reads = multiview_horspool_trace(text, p)
+    assert matches == expected and stats.trace == trace
+    assert stats.symbol_reads == pattern_view_count(text, p) * len(trace) + verify_reads
+    assert any(rows[4][j + m - 1] >= reg.num_symbols for j in trace)
+    assert search_naive(text, p) == search_naive_instrumented(text, p)[0] == expected
+
+
+def test_negative_ids_never_change_the_matches():
+    """A negative id reads another symbol's shift, never more than m, so no
+    occurrence is skipped; every kernel finds exactly the windows a plain
+    comparison does."""
+    rng = random.Random(4242)
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        m = rng.randint(1, n + 2)
+        mode = "planted" if (rng.random() < 0.5 and m <= n) else "uniform"
+        k, sigma = rng.randint(1, 5), rng.randint(1, 4)
+        clean, pattern, _ = random_instance(rng, k, n, sigma, m, mode)
+        num_symbols = clean.registry.num_symbols
+        rows = [list(view) for view in clean.views]
+        for _ in range(rng.randint(1, n)):
+            rows[rng.randrange(k)][rng.randrange(n)] = -rng.randint(1, num_symbols)
+        text = make_text(rows, clean.registry)
+        expected = oracle_scan(text, pattern)
+        for fast, instrumented in KERNELS.values():
+            assert fast(text, pattern) == instrumented(text, pattern)[0] == expected
 
 
 def test_bitset_oracle_agrees_with_oracle_scan():
