@@ -6,15 +6,15 @@ All searchers return every overlapping occurrence as a sorted list of
 instrumented kernels additionally return SearchStats: the window positions
 tried (the alignment trace) and the text-symbol reads the convention below
 counts, the machine-independent work measures for benchmarking.  Both
-Horspool kernels run one alignment loop, a generator that looks a shift
-up in a dense list indexed by symbol id, for each view of p[0..m-2] only:
-a view the pattern leaves out there always shifts by m.  Up to three such
-views step with three lookups and two compares, a view repeated to make
-three; more step with a list min.  The fast kernel tests the last symbol
-inside that loop, which yields only the windows where it matches; the
-instrumented kernel's test always holds, so it gets every window tried and
-tests the last symbol after.  Both verify those hits one offset at a time,
-offset 0 read as row[i].  Both naive kernels run that same check over
+Horspool kernels run one alignment loop, a generator that looks a shift up
+in a dense list indexed by symbol id, for each view of p[0..m-2] only: a
+view the pattern leaves out there always shifts by m.  One, two or three
+such views each step in their own loop, with one lookup per view and one
+compare fewer; more step with a list min.  The fast kernel tests the last
+symbol inside that loop, which yields only the windows where it matches;
+the instrumented kernel's test always holds, so it gets every window tried
+and tests the last symbol after.  Both verify those hits one offset at a
+time, offset 0 read as row[i].  Both naive kernels run that same check over
 every window: each offset filters a list of the windows that held so far,
 so the naive's cost follows how many windows survive each offset, and it
 holds one O(n) list of candidates.  Text symbol ids must lie in
@@ -29,9 +29,8 @@ Counting convention: at each Horspool alignment, R reads, where R is the
 number of distinct views among the pattern's symbols.  These are the
 shift step's reads of the views of p[0..m-2] and the last-character
 comparison's read of p[m-1]'s view, all at the window's last position; a
-view read by both counts once, as does a view the shift step looks up
-twice.  Verification reads of the remaining offsets count one each,
-stopping at the first mismatch.
+view read by both counts once.  Verification reads of the remaining
+offsets count one each, stopping at the first mismatch.
 """
 
 from __future__ import annotations
@@ -104,10 +103,9 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
     the minimum over all k views.  With m=1 there are no rows, every shift
     is 1 and every window is tried.
 
-    Up to three rows a, b, c step by their minimum in two compares, a row
-    repeated to make three: a duplicate lookup at the same position, which
-    the counting convention does not charge (still R reads per alignment).
-    More use a list min.
+    Each row count up to three has its own loop, one lookup per row: one
+    row steps by its shift, two by the smaller of theirs in one compare,
+    three by their minimum in two compares.  More use a list min.
     """
     if table is None:
         table = ShiftTable(pattern)
@@ -124,22 +122,36 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
         shift[symbol] = distance
     last = pattern.m - 1
     end, n = last, text.n  # the window's last position; none if m > n
-    if len(rows) > 3:
+    if len(rows) == 1:
+        a, = rows
+        while end < n:
+            if test_row[end] == test_sym:
+                yield end - last
+            end += shift[a[end]]
+    elif len(rows) == 2:
+        a, b = rows
+        while end < n:
+            if test_row[end] == test_sym:
+                yield end - last
+            s = shift[a[end]]
+            t = shift[b[end]]
+            end += t if t < s else s
+    elif len(rows) == 3:
+        a, b, c = rows
+        while end < n:
+            if test_row[end] == test_sym:
+                yield end - last
+            s = shift[a[end]]
+            t = shift[b[end]]
+            u = shift[c[end]]
+            if t < s:
+                s = t
+            end += u if u < s else s
+    else:
         while end < n:
             if test_row[end] == test_sym:
                 yield end - last
             end += min([shift[row[end]] for row in rows])
-        return
-    a, b, c = (rows * 3)[:3]
-    while end < n:
-        if test_row[end] == test_sym:
-            yield end - last
-        s = shift[a[end]]
-        t = shift[b[end]]
-        u = shift[c[end]]
-        if t < s:
-            s = t
-        end += u if u < s else s
 
 
 def _verify(rows, starts):

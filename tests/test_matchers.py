@@ -248,22 +248,41 @@ def _edge_instance(n, m, seed):
     return text, pattern
 
 
+def _shift_rows_instance(r, seed):
+    """A k=5, sigma=2 instance whose p[0..m-2] is copied from a window of
+    views 0..r-1 in turn and whose p[m-1] is view 4's, so the Horspool
+    step runs with exactly r shift rows (r <= 4)."""
+    rng = random.Random(seed)
+    text, _, _ = random_instance(rng, 5, 30, 2, 1)
+    m = 2 * r + 1
+    start = rng.randrange(text.n - m + 1)
+    symbols = [text.views[q % r][start + q] for q in range(m - 1)]
+    symbols.append(text.views[4][start + m - 1])
+    return text, Pattern(tuple(symbols), text.registry)
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_instances())
 @example(_edge_instance(7, 1, 0))  # m=1: no shift rows, every window tried
 @example(_edge_instance(7, 7, 1))  # m=n: one window
 @example(_edge_instance(7, 9, 2))  # m>n: none
+@example(_shift_rows_instance(1, 3))  # the one-row step
+@example(_shift_rows_instance(2, 4))  # the two-row step
+@example(_shift_rows_instance(3, 5))  # the three-row step
+@example(_shift_rows_instance(4, 6))  # the list step
 def test_fast_horspool_loop_yields_the_last_symbol_hits_of_the_trace(instance):
     """Testing p[m-1] inside the alignment loop yields exactly the windows
     of the instrumented trace whose last symbol matches, in order: the
-    candidates the fast kernel verifies."""
+    candidates the fast kernel verifies.  The oracle trace, which shares no
+    code with the loop, filtered the same way, agrees."""
     text, pattern = instance
     last = pattern.m - 1
     sym = pattern.symbols[last]
     row = text.views[text.registry.symbol_to_view[sym]]
     trace = search_horspool_instrumented(text, pattern)[1].trace
     hits = [j for j in trace if row[j + last] == sym]
-    assert list(_horspool_windows(text, pattern, None, row, sym)) == hits
+    oracle_hits = [j for j in multiview_horspool_trace(text, pattern)[0] if row[j + last] == sym]
+    assert list(_horspool_windows(text, pattern, None, row, sym)) == hits == oracle_hits
 
 
 def _five_view_registry():
@@ -286,8 +305,8 @@ def test_pattern_over_one_of_five_views_reads_one_view():
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_every_shift_step_over_exactly_r_of_five_views(r):
     """Patterns over exactly r views, so the Horspool step runs with every
-    row count from 0 (m=1) to r: three or fewer rows take the three-lookup
-    step, a repeated row included, and four or five the list step."""
+    row count from 0 (m=1) to r: one, two and three rows each take their
+    own loop, and four or five the list step."""
     rng = random.Random(4000 + r)
     reg = _five_view_registry()
     n = 40
@@ -335,6 +354,14 @@ def test_unit_pattern_tries_every_window_and_reads_one_view(n):
 # Tokens "<view letter><digit>": with "abc" views, a0, b0 and c0 are
 # fillers every pattern below leaves out, so each shifts by m.
 _COMPARE_CASES = {
+    # One row a with shifts a1 2, a2 1; b1, the last symbol, is not in
+    # p[0..m-2], so it shifts by m like every filler.
+    "one row": (["a1", "a2", "b1"], [
+        (("a1", "b0", "c0"), 2),  # row a, below m
+        (("a2", "b0", "c0"), 1),  # row a, below m
+        (("a0", "b0", "c0"), 3),  # m
+        (("a0", "b1", "c0"), 3),  # m; last symbol matches
+    ]),
     # Three rows a, b, c with shifts a1 6, b1 5, c1 4, a2 3, b2 2, c2 1.
     # Distinct views never share a shift below m, so three rows tie only
     # at m, where all three do.
@@ -347,13 +374,13 @@ _COMPARE_CASES = {
         (("a2", "b0", "c0"), 3),  # row a, b and c tied at m
         (("a0", "b0", "c0"), 7),  # three-way tie at m
     ]),
-    # Two rows padded to three, c repeating a: a min from row a is a
-    # two-way tie of a and c.  Shifts a1 4, b1 3, a2 2, b2 1.
+    # Two rows a and b, one compare, with shifts a1 4, b1 3, a2 2, b2 1.
+    # View c is not in the pattern and is never read.
     "two rows": (["a1", "b1", "a2", "b2", "a3"], [
-        (("a2", "b1", "c0"), 2),  # rows a and c, a two-way tie
+        (("a2", "b1", "c0"), 2),  # row a
         (("a1", "b2", "c0"), 1),  # row b
         (("a3", "b1", "c0"), 3),  # row b; last symbol matches
-        (("a0", "b0", "c0"), 5),  # three-way tie at m
+        (("a0", "b0", "c0"), 5),  # a and b tied at m
     ]),
 }
 
@@ -361,8 +388,8 @@ _COMPARE_CASES = {
 @pytest.mark.parametrize("case", sorted(_COMPARE_CASES))
 def test_two_compare_shift_step_takes_each_row_and_tie(case):
     """A hand-built three-view text whose successive alignments take their
-    minimum shift from row a, b and c in turn, and from ties, then end on a
-    planted occurrence."""
+    minimum shift from each row of the one-, two- or three-row step in
+    turn, and from ties, then end on a planted occurrence."""
     tokens, plan = _COMPARE_CASES[case]
     reg = AlphabetRegistry(["a", "b", "c"], [[f"{v}{d}" for d in range(4)] for v in "abc"])
     p = resolve_pattern(tokens, reg)
