@@ -8,22 +8,22 @@ tried (the alignment trace) and the text-symbol reads the convention below
 counts, the machine-independent work measures for benchmarking.  Both
 Horspool kernels run one alignment loop, a generator that looks a shift up
 in a dense list indexed by symbol id, for each view of p[0..m-2] only: a
-view the pattern leaves out there always shifts by m.  One, two or three
-such views each step in their own loop, with one lookup per view and one
-compare fewer; more step with a list min.  The fast kernel tests the last
-symbol inside that loop, which yields only the windows where it matches;
-the instrumented kernel's test always holds, so it gets every window tried
-and tests the last symbol after.  Both verify those hits one offset at a
-time, offset 0 read as row[i].  Both naive kernels run that same check over
-every window: each offset filters a list of the windows that held so far,
-so the naive's cost follows how many windows survive each offset, and it
-holds one O(n) list of candidates.  Text symbol ids must lie in
-[0, num_symbols) of the text's registry, as every constructor in the
-package gives.  Only the Horspool kernels index by a text symbol, and only
-in the views of p[0..m-2], at each window's last position: there a larger
-id raises IndexError, and a negative one reads another symbol's shift,
-which can change the trace and the reads (never the matches) without an
-error.  Elsewhere, and in the naive kernels, symbols are only compared.
+view the pattern leaves out there always shifts by m.  The loop is
+generated once per number of such views, with one lookup per view and one
+compare fewer.  The fast kernel's loop tests the last symbol, so it yields
+only the windows where it matches; the instrumented kernel's loop yields
+every window tried, and it tests the last symbol after.  Both verify those
+hits one offset at a time, offset 0 read as row[i].  Both naive kernels
+run that same check over every window: each offset filters a list of the
+windows that held so far, so the naive's cost follows how many windows
+survive each offset, and it holds one O(n) list of candidates.  Text
+symbol ids must lie in [0, num_symbols) of the text's registry, as every
+constructor in the package gives.  Only the Horspool kernels index by a
+text symbol, and only in the views of p[0..m-2], at each window's last
+position: there a larger id raises IndexError, and a negative one reads
+another symbol's shift, which can change the trace and the reads (never
+the matches) without an error.  Elsewhere, and in the naive kernels,
+symbols are only compared.
 
 Counting convention: at each Horspool alignment, R reads, where R is the
 number of distinct views among the pattern's symbols.  These are the
@@ -35,7 +35,7 @@ offsets count one each, stopping at the first mismatch.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .core import MatchingError, MultiViewText, Pattern, RegistryMismatch, SymbolId
 
@@ -91,21 +91,45 @@ def _pattern_rows(text: MultiViewText, pattern: Pattern):
     return [(views[view_of[s]], s) for s in pattern.symbols]
 
 
+def _step_source(r: int, tested: bool) -> str:
+    """The source of the alignment loop over r shift rows, r0 .. r{r-1}.
+
+    Each step makes one lookup per row: the first sets s, each middle row
+    lowers it in one compare, and the last adds the smaller of its shift
+    and s to end.  One row adds its shift, and no rows add 1.  With tested,
+    the loop yields only the windows whose last position holds test_sym in
+    test_row; without, every window.  Only r is interpolated.
+    """
+    rows = [f"r{i}" for i in range(r)]
+    if r < 2:
+        step = ["end += shift[r0[end]]" if r else "end += 1"]
+    else:
+        step = ["s = shift[r0[end]]"]
+        for row in rows[1:-1]:
+            step += [f"t = shift[{row}[end]]", "if t < s:", "    s = t"]
+        step += [f"t = shift[{rows[-1]}[end]]", "end += t if t < s else s"]
+    test = ["if test_row[end] == test_sym:", "    yield end - last"] if tested else ["yield end - last"]
+    params = ["shift", "last", "n"] + (["test_row", "test_sym"] if tested else []) + rows
+    body = "".join(f"        {line}\n" for line in test + step)
+    return f"def windows({', '.join(params)}):\n    end = last\n    while end < n:\n{body}"
+
+
+_STEPS: dict[tuple[int, bool], Callable[..., Iterator[int]]] = {}  # (r, tested) -> loop
+
+
 def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable | None,
-                      test_row: Sequence[int], test_sym: int):
-    """Yield, in order, the windows multi-view Horspool tries whose last
-    position holds test_sym in test_row, each shifting by the minimum
-    bad-character offset over all views there.  A generator that tests in
-    its loop, so that the fast kernel keeps no trace and resumes on hits only.
+                      test_row: Sequence[int] | None = None, test_sym: int | None = None
+                      ) -> Iterator[int]:
+    """The windows multi-view Horspool tries, in order, each shifting by
+    the minimum bad-character offset over all views at its last position:
+    all of them, or with test_row only those whose last position holds
+    test_sym there, so that the fast kernel resumes on hits only.
 
     Only the views of p[0..m-2], the rows, are read: a symbol of any other
     view shifts by m, which no row exceeds, so the minimum over the rows is
     the minimum over all k views.  With m=1 there are no rows, every shift
-    is 1 and every window is tried.
-
-    Each row count up to three has its own loop, one lookup per row: one
-    row steps by its shift, two by the smaller of theirs in one compare,
-    three by their minimum in two compares.  More use a list min.
+    is 1 and every window is tried.  The loop for each row count and test
+    is generated once from _step_source and kept in _STEPS.
     """
     if table is None:
         table = ShiftTable(pattern)
@@ -114,44 +138,17 @@ def _horspool_windows(text: MultiViewText, pattern: Pattern, table: ShiftTable |
     view_of = text.registry.symbol_to_view
     views = text.views
     rows = [views[v] for v in sorted({view_of[s] for s in pattern.symbols[:-1]})]
-    if not rows:
-        yield from (end for end in range(text.n) if test_row[end] == test_sym)
-        return
     shift = [table.default_shift] * text.registry.num_symbols
     for symbol, distance in table.shifts.items():
         shift[symbol] = distance
-    last = pattern.m - 1
-    end, n = last, text.n  # the window's last position; none if m > n
-    if len(rows) == 1:
-        a, = rows
-        while end < n:
-            if test_row[end] == test_sym:
-                yield end - last
-            end += shift[a[end]]
-    elif len(rows) == 2:
-        a, b = rows
-        while end < n:
-            if test_row[end] == test_sym:
-                yield end - last
-            s = shift[a[end]]
-            t = shift[b[end]]
-            end += t if t < s else s
-    elif len(rows) == 3:
-        a, b, c = rows
-        while end < n:
-            if test_row[end] == test_sym:
-                yield end - last
-            s = shift[a[end]]
-            t = shift[b[end]]
-            u = shift[c[end]]
-            if t < s:
-                s = t
-            end += u if u < s else s
-    else:
-        while end < n:
-            if test_row[end] == test_sym:
-                yield end - last
-            end += min([shift[row[end]] for row in rows])
+    test = () if test_row is None else (test_row, test_sym)
+    key = (len(rows), bool(test))
+    if key not in _STEPS:
+        namespace: dict = {}
+        exec(_step_source(*key), namespace)
+        _STEPS[key] = namespace["windows"]
+    # the window's last position starts at m-1; no window if m > n
+    return _STEPS[key](shift, pattern.m - 1, text.n, *test, *rows)
 
 
 def _verify(rows, starts):
@@ -202,7 +199,7 @@ def search_horspool_instrumented(
 ) -> tuple[list[int], SearchStats]:
     """search_horspool that also records the alignment trace and the reads."""
     rows = _pattern_rows(text, pattern)
-    trace = list(_horspool_windows(text, pattern, None, bytes(text.n), 0))  # every window
+    trace = list(_horspool_windows(text, pattern, None))  # every window tried
     (last_row, last_sym), last = rows[-1], len(rows) - 1
     matches, reads = _verify(rows[:-1], [j for j in trace if last_row[j + last] == last_sym])
     # R reads per alignment, one per distinct view of the pattern: the shift

@@ -18,7 +18,7 @@ from mvmatch import (
     search_naive_instrumented,
 )
 
-from mvmatch.matchers import KERNELS, _horspool_windows
+from mvmatch.matchers import KERNELS, _horspool_windows, _step_source
 
 from helpers import (
     bitset_positions,
@@ -249,15 +249,15 @@ def _edge_instance(n, m, seed):
 
 
 def _shift_rows_instance(r, seed):
-    """A k=5, sigma=2 instance whose p[0..m-2] is copied from a window of
-    views 0..r-1 in turn and whose p[m-1] is view 4's, so the Horspool
-    step runs with exactly r shift rows (r <= 4)."""
+    """A k=9, sigma=2 instance whose p[0..m-2] is copied from a window of
+    views 0..r-1 in turn and whose p[m-1] is view 8's, so the Horspool
+    step runs with exactly r shift rows (r <= 8)."""
     rng = random.Random(seed)
-    text, _, _ = random_instance(rng, 5, 30, 2, 1)
+    text, _, _ = random_instance(rng, 9, 30, 2, 1)
     m = 2 * r + 1
     start = rng.randrange(text.n - m + 1)
     symbols = [text.views[q % r][start + q] for q in range(m - 1)]
-    symbols.append(text.views[4][start + m - 1])
+    symbols.append(text.views[8][start + m - 1])
     return text, Pattern(tuple(symbols), text.registry)
 
 
@@ -266,10 +266,13 @@ def _shift_rows_instance(r, seed):
 @example(_edge_instance(7, 1, 0))  # m=1: no shift rows, every window tried
 @example(_edge_instance(7, 7, 1))  # m=n: one window
 @example(_edge_instance(7, 9, 2))  # m>n: none
+@example(_shift_rows_instance(0, 2))  # no shift rows
 @example(_shift_rows_instance(1, 3))  # the one-row step
 @example(_shift_rows_instance(2, 4))  # the two-row step
 @example(_shift_rows_instance(3, 5))  # the three-row step
-@example(_shift_rows_instance(4, 6))  # the list step
+@example(_shift_rows_instance(4, 6))  # the four-row step
+@example(_shift_rows_instance(5, 7))  # the five-row step
+@example(_shift_rows_instance(8, 8))  # the eight-row step
 def test_fast_horspool_loop_yields_the_last_symbol_hits_of_the_trace(instance):
     """Testing p[m-1] inside the alignment loop yields exactly the windows
     of the instrumented trace whose last symbol matches, in order: the
@@ -305,8 +308,7 @@ def test_pattern_over_one_of_five_views_reads_one_view():
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_every_shift_step_over_exactly_r_of_five_views(r):
     """Patterns over exactly r views, so the Horspool step runs with every
-    row count from 0 (m=1) to r: one, two and three rows each take their
-    own loop, and four or five the list step."""
+    row count from 0 (m=1) to r, each in the step generated for it."""
     rng = random.Random(4000 + r)
     reg = _five_view_registry()
     n = 40
@@ -351,8 +353,36 @@ def test_unit_pattern_tries_every_window_and_reads_one_view(n):
         search_horspool(text, p, build_shift_table(resolve_pattern(["3b"], reg)))
 
 
-# Tokens "<view letter><digit>": with "abc" views, a0, b0 and c0 are
-# fillers every pattern below leaves out, so each shifts by m.
+def test_generated_step_source_is_pinned():
+    """The generated alignment loops as review sees them: one lookup per
+    row and one compare fewer, and the last-symbol test only in the loop
+    that asks for it."""
+    assert _step_source(1, True) == (
+        "def windows(shift, last, n, test_row, test_sym, r0):\n"
+        "    end = last\n"
+        "    while end < n:\n"
+        "        if test_row[end] == test_sym:\n"
+        "            yield end - last\n"
+        "        end += shift[r0[end]]\n")
+    assert _step_source(3, True) == (
+        "def windows(shift, last, n, test_row, test_sym, r0, r1, r2):\n"
+        "    end = last\n"
+        "    while end < n:\n"
+        "        if test_row[end] == test_sym:\n"
+        "            yield end - last\n"
+        "        s = shift[r0[end]]\n"
+        "        t = shift[r1[end]]\n"
+        "        if t < s:\n"
+        "            s = t\n"
+        "        t = shift[r2[end]]\n"
+        "        end += t if t < s else s\n")
+    for r in range(9):
+        assert "test_row" not in _step_source(r, False)
+
+
+# Tokens "<view letter><digit>": a0, b0, ... are fillers every pattern
+# below leaves out, so each shifts by m.  A case's text has one view per
+# token of its plan's tuples.
 _COMPARE_CASES = {
     # One row a with shifts a1 2, a2 1; b1, the last symbol, is not in
     # p[0..m-2], so it shifts by m like every filler.
@@ -382,19 +412,43 @@ _COMPARE_CASES = {
         (("a3", "b1", "c0"), 3),  # row b; last symbol matches
         (("a0", "b0", "c0"), 5),  # a and b tied at m
     ]),
+    # Four rows a, b, c, d, three compares, with shifts a1 8, b1 7, c1 6,
+    # d1 5, a2 4, b2 3, c2 2, d2 1.  View e is never read.
+    "four rows": (["a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2", "a3"], [
+        (("a2", "b1", "c1", "d1", "e0"), 4),  # row a
+        (("a1", "b2", "c1", "d1", "e0"), 3),  # row b; c and d above it
+        (("a2", "b1", "c2", "d1", "e0"), 2),  # row c, below a below b
+        (("a1", "b1", "c1", "d2", "e0"), 1),  # row d, the last compare
+        (("a3", "b1", "c0", "d0", "e0"), 7),  # row b; last symbol matches
+        (("a0", "b0", "c0", "d1", "e0"), 5),  # row d, a, b and c tied at m
+        (("a0", "b0", "c0", "d0", "e0"), 9),  # four-way tie at m
+    ]),
+    # Five rows a to e, four compares, with shifts a1 10, b1 9, c1 8,
+    # d1 7, e1 6, a2 5, b2 4, c2 3, d2 2, e2 1.
+    "five rows": (["a1", "b1", "c1", "d1", "e1", "a2", "b2", "c2", "d2", "e2", "a3"], [
+        (("a2", "b1", "c1", "d1", "e1"), 5),  # row a
+        (("a1", "b2", "c1", "d1", "e1"), 4),  # row b
+        (("a1", "b1", "c2", "d1", "e1"), 3),  # row c
+        (("a2", "b1", "c1", "d2", "e1"), 2),  # row d, below a
+        (("a1", "b1", "c1", "d1", "e2"), 1),  # row e, the last compare
+        (("a0", "b0", "c1", "d0", "e0"), 8),  # row c, the rest tied at m
+        (("a3", "b0", "c0", "d0", "e1"), 6),  # row e; last symbol matches
+        (("a0", "b0", "c0", "d0", "e0"), 11),  # five-way tie at m
+    ]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_COMPARE_CASES))
-def test_two_compare_shift_step_takes_each_row_and_tie(case):
-    """A hand-built three-view text whose successive alignments take their
-    minimum shift from each row of the one-, two- or three-row step in
-    turn, and from ties, then end on a planted occurrence."""
+def test_shift_step_takes_each_row_and_tie(case):
+    """A hand-built text whose successive alignments take their minimum
+    shift from each row of the one- to five-row step in turn, and from
+    ties, then end on a planted occurrence."""
     tokens, plan = _COMPARE_CASES[case]
-    reg = AlphabetRegistry(["a", "b", "c"], [[f"{v}{d}" for d in range(4)] for v in "abc"])
+    names = "abcde"[:len(plan[0][0])]
+    reg = AlphabetRegistry(list(names), [[f"{v}{d}" for d in range(4)] for v in names])
     p = resolve_pattern(tokens, reg)
     m = p.m
-    rows = [[], [], []]
+    rows = [[] for _ in names]
     trace = []
     end = m - 1
     for ends_at, shift in plan:
@@ -403,10 +457,10 @@ def test_two_compare_shift_step_takes_each_row_and_tie(case):
         trace.append(end - m + 1)
         end += shift
     start = end - m + 1
-    for v, row in zip("abc", rows):
+    for v, row in zip(names, rows):
         row.extend([f"{v}0"] * (start + m - len(row)))
     for q, token in enumerate(tokens):
-        rows["abc".index(token[0])][start + q] = token
+        rows[names.index(token[0])][start + q] = token
     text = make_text([[reg.symbol_of(t) for t in row] for row in rows], reg)
     trace.append(start)
     expected = [i for i in range(text.n - m + 1) if occurs_at(text, p, i)]
@@ -444,7 +498,7 @@ def test_offset_major_naive_at_its_edges(n, sigma):
 # Out-of-range symbol ids, as the matchers module documents them.  The
 # five-view registry has ten symbols, ids 0..9; views 0..3 of each text
 # below alternate a, b by position, and view 4 is set per test.
-_SHIFT_PATHS = [["0a", "4b"], ["0a", "1b", "2a", "3b", "4b"]]  # 1 row; 4 rows, list min
+_SHIFT_PATHS = [["0a", "4b"], ["0a", "1b", "2a", "3b", "4b"]]  # 1 row; 4 rows
 
 
 def _alternating_rows(reg, n):
